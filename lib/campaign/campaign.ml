@@ -898,25 +898,11 @@ let script_of_string s =
 (* ------------------------------------------------------------------ *)
 (* JSON artifacts                                                      *)
 
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let add_field b first key value =
   if not !first then Buffer.add_char b ',';
   first := false;
   Buffer.add_char b '"';
-  json_escape b key;
+  Json.escape b key;
   Buffer.add_string b "\":";
   Buffer.add_string b value
 
@@ -925,7 +911,7 @@ let add_int b first key v = add_field b first key (string_of_int v)
 let add_str b first key v =
   let vb = Buffer.create (String.length v + 2) in
   Buffer.add_char vb '"';
-  json_escape vb v;
+  Json.escape vb v;
   Buffer.add_char vb '"';
   add_field b first key (Buffer.contents vb)
 
@@ -987,7 +973,7 @@ let violation_json s =
 
 let fingerprint r = Fnv.to_hex (Fnv.hash64_lines (List.map verdict_json r.verdicts))
 
-let grid_axes_str g =
+let grid_axes g =
   let commas f l = String.concat "," (List.map f l) in
   Printf.sprintf "w=%s|t=%s|n=%s|f=%s|r_us=%s|bw=%s|protect=%s|share=%s"
     (commas Fun.id g.workloads) (commas Fun.id g.topologies)
@@ -997,34 +983,6 @@ let grid_axes_str g =
     (commas string_of_int g.bandwidths)
     (commas (Format.asprintf "%a" Task.pp_criticality) g.protect_levels)
     (commas share_str g.control_shares)
-
-let result_json_lines r =
-  let header =
-    obj (fun b first ->
-        add_int b first "campaign" 1;
-        add_int b first "seed" r.spec.seed;
-        add_int b first "trials" r.spec.trials;
-        add_int b first "configs" r.configs;
-        add_bool b first "shrink" r.spec.shrink;
-        add_str b first "grid" (grid_axes_str r.spec.grid))
-  in
-  let tally pred = List.length (List.filter pred r.verdicts) in
-  let summary =
-    obj (fun b first ->
-        add_int b first "total" (List.length r.verdicts);
-        add_int b first "violations" (tally (fun v -> violates v.outcome));
-        add_int b first "rejected"
-          (tally (fun v -> match v.outcome with Rejected _ -> true | _ -> false));
-        add_int b first "errors"
-          (tally (fun v -> match v.outcome with Errored _ -> true | _ -> false));
-        add_int b first "cache_hits" r.cache_hits;
-        add_int b first "cache_misses" r.cache_misses;
-        add_int b first "configs" r.configs;
-        add_str b first "fingerprint" (fingerprint r))
-  in
-  (header :: List.map verdict_json r.verdicts)
-  @ List.map violation_json r.violations
-  @ [ summary ]
 
 (* ------------------------------------------------------------------ *)
 (* Flat JSON parsing (for `campaign report`)                           *)
@@ -1174,8 +1132,6 @@ module Flat_json = struct
       Ok (List.rev !fields)
     with Bad m -> Error m
 end
-
-let grid_axes = grid_axes_str
 
 let params_fields (p : params) =
   [

@@ -268,19 +268,15 @@ val violation_json : shrunk_violation -> string
 (** One flat JSON object per shrunk violation (the artifact's violation
     lines); byte-deterministic. *)
 
-val result_json_lines : result -> string list
-(** The campaign artifact: a header line, one line per verdict, one per
-    (shrunk) violation, and a summary line carrying the
-    {!fingerprint}. *)
-
 val fingerprint : result -> string
 (** FNV-1a 64 over the verdict lines, hex — equal iff the verdict lists
     are byte-identical (the [--jobs] invariance check). *)
 
 val render_report : string list -> (string, string) Stdlib.result
-(** Parse artifact lines (as written by {!result_json_lines}) and render
-    the aggregate report: totals, a per-configuration table and the
-    violation schedules. [Error] on malformed input. *)
+(** Parse the lines of a campaign artifact (as [Orchestrate.run] and
+    [Orchestrate.combine] write it) and render the aggregate report:
+    totals, a per-configuration table and the violation schedules.
+    [Error] on malformed input. *)
 
 (** Minimal flat-JSON parser for artifact lines (objects of string /
     int / float / bool fields only — exactly what this module emits). *)

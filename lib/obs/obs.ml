@@ -158,20 +158,6 @@ module Registry = struct
       t.gauges []
     |> List.rev
 
-  let json_escape b s =
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s
-
   let to_json t =
     let b = Buffer.create 256 in
     let obj pairs =
@@ -180,7 +166,7 @@ module Registry = struct
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char b ',';
           Buffer.add_char b '"';
-          json_escape b k;
+          Json.escape b k;
           Buffer.add_string b "\":";
           Buffer.add_string b (string_of_int v))
         pairs;
@@ -239,7 +225,7 @@ let add_str b key v =
   Buffer.add_string b ",\"";
   Buffer.add_string b key;
   Buffer.add_string b "\":\"";
-  Registry.json_escape b v;
+  Json.escape b v;
   Buffer.add_char b '"'
 
 let add_bool b key v =

@@ -1,6 +1,6 @@
 (** Hierarchical timing wheel keyed on logical microseconds.
 
-    The simulation engine's default event queue ({!Btr_sim.Engine}):
+    The simulation engine's event queue ({!Btr_sim.Engine}):
     amortized O(1) insert and extract-min for the workloads a
     discrete-event simulator actually produces, where the pairing heap's
     O(log n) comparisons made throughput collapse with queue depth.

@@ -1,5 +1,6 @@
 open Btr_util
 module Campaign = Btr_campaign.Campaign
+module Orchestrate = Btr_campaign.Orchestrate
 module Shrink = Btr_campaign.Shrink
 module Task = Btr_workload.Task
 module Fault = Btr_fault.Fault
@@ -189,6 +190,14 @@ let prop_codec_roundtrip =
 
 (* --- determinism across worker counts ------------------------------- *)
 
+(* Everything a run records that must not depend on the worker count:
+   verdict and violation lines, cache counters, fingerprint. *)
+let run_record (r : Campaign.result) =
+  ( List.map Campaign.verdict_json r.Campaign.verdicts,
+    List.map Campaign.violation_json r.Campaign.violations,
+    (r.Campaign.cache_hits, r.Campaign.cache_misses, r.Campaign.configs),
+    Campaign.fingerprint r )
+
 let prop_jobs_invariant =
   (* The tentpole's regression guard: chunked index claiming and the
      sharded plan cache must preserve byte-identical artifacts (verdict
@@ -203,10 +212,9 @@ let prop_jobs_invariant =
           ~trials:(4 + (seed mod 5))
           ~seed ~shrink:false ()
       in
-      let base = Campaign.run ~jobs:1 spec in
-      let lines = Campaign.result_json_lines base in
+      let base = run_record (Campaign.run ~jobs:1 spec) in
       List.for_all
-        (fun jobs -> Campaign.result_json_lines (Campaign.run ~jobs spec) = lines)
+        (fun jobs -> run_record (Campaign.run ~jobs spec) = base)
         [ 2; 4; 8 ])
 
 let test_full_artifact_jobs_invariant () =
@@ -219,8 +227,7 @@ let test_full_artifact_jobs_invariant () =
   let spec = Campaign.spec ~trials:10 ~seed:7 () in
   let a = Campaign.run ~jobs:1 spec and b = Campaign.run ~jobs:3 spec in
   check_bool "admitted grid runs clean" true (a.Campaign.violations = []);
-  check_bool "artifacts identical" true
-    (Campaign.result_json_lines a = Campaign.result_json_lines b);
+  check_bool "artifacts identical" true (run_record a = run_record b);
   check_int "jobs recorded" 3 b.Campaign.jobs
 
 let test_shrunk_violations_replay () =
@@ -556,17 +563,25 @@ let prop_flat_json_roundtrip =
 
 let test_report_renders () =
   let spec = Campaign.spec ~trials:10 ~seed:7 () in
-  let result = Campaign.run ~jobs:1 spec in
-  let lines = Campaign.result_json_lines result in
+  let r =
+    match Orchestrate.run ~jobs:1 ~shard:Orchestrate.unsharded spec with
+    | Ok r -> r
+    | Error m -> Alcotest.failf "campaign failed: %s" m
+  in
+  let lines = r.Orchestrate.lines in
   check_int "header + verdicts + violations + summary"
-    (1 + 10 + List.length result.Campaign.violations + 1)
+    (1 + 10 + List.length r.Orchestrate.new_violations + 1)
     (List.length lines);
   match Campaign.render_report lines with
   | Error m -> Alcotest.failf "render failed: %s" m
   | Ok report ->
     check_bool "mentions totals" true (contains ~sub:"10 trials" report);
     check_bool "mentions fingerprint" true
-      (contains ~sub:(Campaign.fingerprint result) report)
+      (match Orchestrate.parse_artifact lines with
+      | Ok a ->
+        a.Orchestrate.a_fingerprint <> ""
+        && contains ~sub:a.Orchestrate.a_fingerprint report
+      | Error _ -> false)
 
 let test_report_rejects_garbage () =
   check_bool "malformed line" true

@@ -286,7 +286,7 @@ let test_parse_artifact_rejects () =
   in
   check_bool "duplicate trial" true (Result.is_error (Orchestrate.parse_artifact dup));
   (* a v1 (pre-orchestration) artifact has no spec_fp/shard header *)
-  let v1 = Campaign.result_json_lines (Campaign.run ~jobs:1 spec) in
+  let v1 = "{\"campaign\":1,\"seed\":2,\"trials\":4}" :: List.tl lines in
   check_bool "v1 artifact rejected with guidance" true
     (match Orchestrate.parse_artifact v1 with
     | Error m -> contains ~sub:"version 1" m
