@@ -361,21 +361,6 @@ let workloads_cmd =
 module Campaign = Btr_campaign.Campaign
 module Orchestrate = Btr_campaign.Orchestrate
 
-let criticality_of_name = function
-  | "best-effort" -> Ok Task.Best_effort
-  | "low" -> Ok Task.Low
-  | "medium" -> Ok Task.Medium
-  | "high" -> Ok Task.High
-  | "safety-critical" -> Ok Task.Safety_critical
-  | other -> Error (Printf.sprintf "unknown protect level %S" other)
-
-let share_of_name = function
-  | "default" -> Ok None
-  | s -> (
-    match float_of_string_opt s with
-    | Some c -> Ok (Some c)
-    | None -> Error (Printf.sprintf "bad control share %S (want a float or 'default')" s))
-
 (* Campaign CLI errors are usage errors: exit 2, like cmdliner's own. *)
 let usage_error m =
   Printf.eprintf "btr campaign: %s\n" m;
@@ -390,10 +375,10 @@ let rec map_result f = function
 
 let grid_of workloads topologies node_counts fault_bounds r_ms bandwidths protects
     shares classes =
-  match map_result criticality_of_name protects with
+  match map_result Campaign.criticality_of_name protects with
   | Error m -> Error m
   | Ok protect_levels -> (
-    match map_result share_of_name shares with
+    match map_result Campaign.share_of_name shares with
     | Error m -> Error m
     | Ok control_shares -> (
       let g =
@@ -475,16 +460,10 @@ let grid_args =
     const grid_of $ workloads $ topologies $ node_counts $ fault_bounds $ r_ms
     $ bandwidths $ protects $ shares $ classes)
 
+(* An unreadable file is an [Error] naming it. *)
 let read_lines file =
-  let ic = open_in file in
-  let rec go acc =
-    match input_line ic with
-    | line -> go (line :: acc)
-    | exception End_of_file ->
-      close_in ic;
-      List.rev acc
-  in
-  go []
+  try Ok (In_channel.with_open_text file In_channel.input_lines)
+  with Sys_error m -> Error m
 
 let json_file_arg =
   Arg.(
@@ -515,10 +494,10 @@ let campaign_run_cmd =
               Error "--resume needs --json FILE (the artifact to continue)"
             | true, Some file ->
               if not (Sys.file_exists file) then Ok None
-              else (
-                match Orchestrate.parse_artifact (read_lines file) with
-                | Ok a -> Ok (Some a)
-                | Error m -> Error (Printf.sprintf "%s: %s" file m))
+              else
+                Result.bind (read_lines file) Orchestrate.parse_artifact
+                |> Result.map Option.some
+                |> Result.map_error (Printf.sprintf "%s: %s" file)
           in
           match resume_art with
           | Error m -> usage_error m
@@ -615,54 +594,27 @@ let campaign_run_cmd =
       $ json_file_arg $ no_shrink $ shrink_budget $ shard $ resume $ max_trials
       $ trace_arg $ metrics_arg)
 
-(* Rebuild a trial from its artifact verdict line. *)
+(* Rebuild a trial from its verdict line in a campaign artifact. *)
 let trial_from_artifact file index =
-  let open Campaign.Flat_json in
-  let int_of fields k = match List.assoc_opt k fields with Some (Int i) -> Some i | _ -> None in
-  let str_of fields k = match List.assoc_opt k fields with Some (Str s) -> Some s | _ -> None in
-  let lines = List.filter (fun l -> String.trim l <> "") (read_lines file) in
-  let rec find = function
-    | [] -> Error (Printf.sprintf "no trial %d in %s" index file)
-    | line :: rest -> (
-      match parse line with
-      | Error m -> Error (Printf.sprintf "%s: %s" file m)
-      | Ok fields ->
-        if int_of fields "trial" <> Some index then find rest
-        else
-          let req name v =
-            match v with
-            | Some v -> Ok v
-            | None -> Error (Printf.sprintf "trial %d line lacks %S" index name)
-          in
-          let ( let* ) r k = Result.bind r k in
-          let* workload = req "workload" (str_of fields "workload") in
-          let* topology = req "topology" (str_of fields "topology") in
-          let* nodes = req "nodes" (int_of fields "nodes") in
-          let* f = req "f" (int_of fields "f") in
-          let* r = req "r_us" (int_of fields "r_us") in
-          let* bandwidth_bps = req "bandwidth_bps" (int_of fields "bandwidth_bps") in
-          let* protect_s = req "protect" (str_of fields "protect") in
-          let* protect = criticality_of_name protect_s in
-          let* share_s = req "control_share" (str_of fields "control_share") in
-          let* control_share = share_of_name share_s in
-          let* runtime_seed = req "seed" (int_of fields "seed") in
-          let* script_s = req "script" (str_of fields "script") in
-          let* script = Campaign.script_of_string script_s in
-          Ok
-            ( {
-                Campaign.workload;
-                topology;
-                nodes;
-                f;
-                r;
-                bandwidth_bps;
-                protect;
-                control_share;
-              },
-              runtime_seed,
-              script ))
+  let ( let* ) = Result.bind in
+  let in_file r = Result.map_error (Printf.sprintf "%s: %s" file) r in
+  let* lines = read_lines file in
+  let* art = in_file (Orchestrate.parse_artifact lines) in
+  let* line =
+    Option.to_result
+      ~none:(Printf.sprintf "no trial %d in %s" index file)
+      (List.assoc_opt index art.Orchestrate.a_verdicts)
   in
-  find lines
+  let* fields = in_file (Json.parse line) in
+  let field get name =
+    Option.to_result
+      ~none:(Printf.sprintf "%s: trial %d line lacks %S" file index name)
+      (get fields name)
+  in
+  let* params = in_file (Campaign.params_of_fields fields) in
+  let* runtime_seed = field Json.get_int "seed" in
+  let* script = Result.bind (field Json.get_str "script") Campaign.script_of_string in
+  Ok (params, runtime_seed, script)
 
 let print_outcome params runtime_seed script (outcome : Campaign.outcome) =
   Format.printf "%a seed=%d@.script: %s@." Campaign.pp_params params runtime_seed
@@ -693,9 +645,12 @@ let campaign_replay_cmd =
   let run from trial_idx script_s workload topology nodes f r_ms
       protect_s share_s campaign_seed runtime_seed =
     let replay (params : Campaign.params) runtime_seed script =
-      let cache = Campaign.Cache.create ~seed:campaign_seed in
-      print_outcome params runtime_seed script
-        (Campaign.run_script ~cache params ~runtime_seed script)
+      match Campaign.validate_grid (Campaign.point_grid params) with
+      | Error m -> usage_error m
+      | Ok () ->
+        let cache = Campaign.Cache.create ~seed:campaign_seed in
+        print_outcome params runtime_seed script
+          (Campaign.run_script ~cache params ~runtime_seed script)
     in
     match from, script_s with
     | Some _, Some _ -> usage_error "--from and --script are mutually exclusive"
@@ -704,15 +659,13 @@ let campaign_replay_cmd =
       | None -> usage_error "--from needs --trial N"
       | Some idx -> (
         match trial_from_artifact file idx with
-        | Error m ->
-          Printf.eprintf "error: %s\n" m;
-          1
+        | Error m -> usage_error m
         | Ok (params, runtime_seed, script) -> replay params runtime_seed script))
     | None, Some s -> (
       match
         ( Campaign.script_of_string s,
-          criticality_of_name protect_s,
-          share_of_name share_s )
+          Campaign.criticality_of_name protect_s,
+          Campaign.share_of_name share_s )
       with
       | Error m, _, _ | _, Error m, _ | _, _, Error m -> usage_error m
       | Ok script, Ok protect, Ok control_share ->
@@ -779,25 +732,15 @@ let campaign_combine_cmd =
   let run files out =
     if files = [] then usage_error "need at least one shard artifact"
     else
-      match
-        try Ok (List.map read_lines files) with Sys_error m -> Error m
-      with
-      | Error m ->
-        Printf.eprintf "error: %s\n" m;
-        1
-      | Ok inputs -> (
-        match Orchestrate.combine inputs with
-        | Error m ->
-          Printf.eprintf "btr campaign combine: %s\n" m;
-          2
-        | Ok (lines, has_violations) ->
-          (match out with
-          | "-" -> List.iter print_endline lines
-          | file ->
-            write_lines file lines;
-            Printf.printf "combined %d shard artifact(s) into %s\n"
-              (List.length files) file);
-          if has_violations then 3 else 0)
+      match Result.bind (map_result read_lines files) Orchestrate.combine with
+      | Error m -> usage_error m
+      | Ok (lines, has_violations) ->
+        (match out with
+        | "-" -> List.iter print_endline lines
+        | file ->
+          write_lines file lines;
+          Printf.printf "combined %d shard artifact(s) into %s\n" (List.length files) file);
+        if has_violations then 3 else 0
   in
   let files =
     Arg.(value & pos_all string [] & info [] ~docv:"SHARD.jsonl" ~doc:"Shard artifacts.")
@@ -909,23 +852,17 @@ let campaign_report_cmd =
     "Render the aggregate report from a campaign (or frontier) JSONL artifact."
   in
   let run file =
-    match read_lines file with
-    | exception Sys_error m ->
-      Printf.eprintf "error: %s\n" m;
-      1
-    | lines -> (
-      let rendered =
-        if Orchestrate.is_frontier_artifact lines then
-          Orchestrate.render_frontier lines
-        else Campaign.render_report lines
-      in
-      match rendered with
-      | Ok report ->
-        print_string report;
-        0
-      | Error m ->
-        Printf.eprintf "error: %s\n" m;
-        1)
+    let rendered =
+      Result.bind (read_lines file) (fun lines ->
+          (if Orchestrate.is_frontier_artifact lines then Orchestrate.render_frontier lines
+           else Campaign.render_report lines)
+          |> Result.map_error (Printf.sprintf "%s: %s" file))
+    in
+    match rendered with
+    | Ok report ->
+      print_string report;
+      0
+    | Error m -> usage_error m
   in
   let file =
     Arg.(

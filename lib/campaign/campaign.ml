@@ -145,10 +145,23 @@ let validate_grid g =
       else if List.exists (fun b -> b <= 0) g.bandwidths then err "bandwidth <= 0"
       else if
         List.exists
-          (fun s -> match s with Some c -> c <= 0.0 || c > 0.6 | None -> false)
+          (fun s -> match s with Some c -> not (c > 0.0 && c <= 0.6) | None -> false)
           g.control_shares
       then err "control share outside (0, 0.6]"
       else Ok ())
+
+let point_grid p =
+  {
+    workloads = [ p.workload ];
+    topologies = [ p.topology ];
+    node_counts = [ p.nodes ];
+    fault_bounds = [ p.f ];
+    recovery_bounds = [ p.r ];
+    bandwidths = [ p.bandwidth_bps ];
+    protect_levels = [ p.protect ];
+    control_shares = [ p.control_share ];
+    classes = known_classes;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Specs and trials                                                    *)
@@ -898,78 +911,91 @@ let script_of_string s =
 (* ------------------------------------------------------------------ *)
 (* JSON artifacts                                                      *)
 
-let add_field b first key value =
-  if not !first then Buffer.add_char b ',';
-  first := false;
-  Buffer.add_char b '"';
-  Json.escape b key;
-  Buffer.add_string b "\":";
-  Buffer.add_string b value
+let criticality_of_name = function
+  | "best-effort" -> Ok Task.Best_effort
+  | "low" -> Ok Task.Low
+  | "medium" -> Ok Task.Medium
+  | "high" -> Ok Task.High
+  | "safety-critical" -> Ok Task.Safety_critical
+  | other -> Error (Printf.sprintf "unknown protect level %S" other)
 
-let add_int b first key v = add_field b first key (string_of_int v)
+let share_of_name = function
+  | "default" -> Ok None
+  | s -> (
+    match float_of_string_opt s with
+    | Some c -> Ok (Some c)
+    | None -> Error (Printf.sprintf "bad control share %S (want a float or 'default')" s))
 
-let add_str b first key v =
-  let vb = Buffer.create (String.length v + 2) in
-  Buffer.add_char vb '"';
-  Json.escape vb v;
-  Buffer.add_char vb '"';
-  add_field b first key (Buffer.contents vb)
+let params_fields (p : params) =
+  [
+    ("workload", Json.Str p.workload);
+    ("topology", Json.Str p.topology);
+    ("nodes", Json.Int p.nodes);
+    ("f", Json.Int p.f);
+    ("r_us", Json.Int p.r);
+    ("bandwidth_bps", Json.Int p.bandwidth_bps);
+    ("protect", Json.Str (Format.asprintf "%a" Task.pp_criticality p.protect));
+    ("control_share", Json.Str (share_str p.control_share));
+  ]
 
-let add_bool b first key v = add_field b first key (if v then "true" else "false")
+let params_of_fields fields =
+  let ( let* ) = Result.bind in
+  let req get name =
+    match get fields name with
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "missing %S field" name)
+  in
+  let* workload = req Json.get_str "workload" in
+  let* topology = req Json.get_str "topology" in
+  let* nodes = req Json.get_int "nodes" in
+  let* f = req Json.get_int "f" in
+  let* r = req Json.get_int "r_us" in
+  let* bandwidth_bps = req Json.get_int "bandwidth_bps" in
+  let* protect = Result.bind (req Json.get_str "protect") criticality_of_name in
+  let* control_share = Result.bind (req Json.get_str "control_share") share_of_name in
+  Ok { workload; topology; nodes; f; r; bandwidth_bps; protect; control_share }
 
-let obj f =
-  let b = Buffer.create 256 in
-  let first = ref true in
-  Buffer.add_char b '{';
-  f b first;
-  Buffer.add_char b '}';
-  Buffer.contents b
-
-let add_params b first (p : params) =
-  add_str b first "workload" p.workload;
-  add_str b first "topology" p.topology;
-  add_int b first "nodes" p.nodes;
-  add_int b first "f" p.f;
-  add_int b first "r_us" p.r;
-  add_int b first "bandwidth_bps" p.bandwidth_bps;
-  add_str b first "protect" (Format.asprintf "%a" Task.pp_criticality p.protect);
-  add_str b first "control_share" (share_str p.control_share)
-
-let add_stats b first (st : run_stats) =
-  add_int b first "worst_recovery_us" st.worst_recovery;
-  add_int b first "recoveries" (List.length st.recoveries);
-  add_int b first "incorrect_us" st.incorrect;
-  add_int b first "deadline_miss_bp" st.deadline_miss_bp;
-  add_int b first "correct_bp" st.correct_bp;
-  add_int b first "bytes" st.bytes_sent;
-  add_int b first "control_bytes" st.control_bytes;
-  add_int b first "sim_events" st.sim_events;
-  add_int b first "mode_changes" st.mode_changes;
-  add_int b first "periods" st.periods
+let stats_fields (st : run_stats) =
+  [
+    ("worst_recovery_us", Json.Int st.worst_recovery);
+    ("recoveries", Json.Int (List.length st.recoveries));
+    ("incorrect_us", Json.Int st.incorrect);
+    ("deadline_miss_bp", Json.Int st.deadline_miss_bp);
+    ("correct_bp", Json.Int st.correct_bp);
+    ("bytes", Json.Int st.bytes_sent);
+    ("control_bytes", Json.Int st.control_bytes);
+    ("sim_events", Json.Int st.sim_events);
+    ("mode_changes", Json.Int st.mode_changes);
+    ("periods", Json.Int st.periods);
+  ]
 
 let verdict_json v =
-  obj (fun b first ->
-      add_int b first "trial" v.trial.index;
-      add_params b first v.trial.params;
-      add_int b first "seed" v.trial.runtime_seed;
-      add_int b first "events" (List.length v.trial.script);
-      add_str b first "script" (script_to_string v.trial.script);
-      add_int b first "horizon_us" v.trial.horizon;
-      add_str b first "verdict" (outcome_name v.outcome);
-      match v.outcome with
-      | Pass st | Violation st -> add_stats b first st
-      | Rejected reason | Errored reason -> add_str b first "reason" reason)
+  Json.to_string
+    ((("trial", Json.Int v.trial.index) :: params_fields v.trial.params)
+    @ [
+        ("seed", Json.Int v.trial.runtime_seed);
+        ("events", Json.Int (List.length v.trial.script));
+        ("script", Json.Str (script_to_string v.trial.script));
+        ("horizon_us", Json.Int v.trial.horizon);
+        ("verdict", Json.Str (outcome_name v.outcome));
+      ]
+    @
+    match v.outcome with
+    | Pass st | Violation st -> stats_fields st
+    | Rejected reason | Errored reason -> [ ("reason", Json.Str reason) ])
 
 let violation_json s =
-  obj (fun b first ->
-      add_int b first "violation" s.source.index;
-      add_str b first "script" (script_to_string s.script);
-      add_int b first "events" (List.length s.script);
-      add_int b first "events_before" (List.length s.source.script);
-      add_int b first "shrink_runs" s.shrink_runs;
-      add_int b first "r_us" s.source.params.r;
-      add_stats b first s.stats;
-      add_str b first "snippet" s.snippet)
+  Json.to_string
+    ([
+       ("violation", Json.Int s.source.index);
+       ("script", Json.Str (script_to_string s.script));
+       ("events", Json.Int (List.length s.script));
+       ("events_before", Json.Int (List.length s.source.script));
+       ("shrink_runs", Json.Int s.shrink_runs);
+       ("r_us", Json.Int s.source.params.r);
+     ]
+    @ stats_fields s.stats
+    @ [ ("snippet", Json.Str s.snippet) ])
 
 let fingerprint r = Fnv.to_hex (Fnv.hash64_lines (List.map verdict_json r.verdicts))
 
@@ -984,222 +1010,46 @@ let grid_axes g =
     (commas (Format.asprintf "%a" Task.pp_criticality) g.protect_levels)
     (commas share_str g.control_shares)
 
-(* ------------------------------------------------------------------ *)
-(* Flat JSON parsing (for `campaign report`)                           *)
-
-module Flat_json = struct
-  type value = Int of int | Float of float | Str of string | Bool of bool
-
-  (* Shortest decimal form that parses back to the same float: try the
-     15-digit form first, fall back to the always-exact 17 digits. Only
-     meaningful for finite floats — this module never emits non-finite
-     values. Integral floats keep a trailing '.' so the token stays
-     float-shaped: "1" would re-parse as Int and break round-tripping. *)
-  let float_repr f =
-    let s = Printf.sprintf "%.15g" f in
-    let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
-    if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s else s ^ "."
-
-  let to_string fields =
-    obj (fun b first ->
-        List.iter
-          (fun (k, v) ->
-            match v with
-            | Int i -> add_int b first k i
-            | Float f -> add_field b first k (float_repr f)
-            | Str s -> add_str b first k s
-            | Bool v -> add_bool b first k v)
-          fields)
-
-  exception Bad of string
-
-  let parse s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let expect c =
-      match peek () with
-      | Some x when x = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected %C" c)
-    in
-    let skip_ws () =
-      while
-        match peek () with
-        | Some (' ' | '\t' | '\n' | '\r') -> true
-        | _ -> false
-      do
-        advance ()
-      done
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | None -> fail "unterminated string"
-        | Some '"' -> advance ()
-        | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some '"' -> Buffer.add_char b '"'; advance (); go ()
-          | Some '\\' -> Buffer.add_char b '\\'; advance (); go ()
-          | Some 'n' -> Buffer.add_char b '\n'; advance (); go ()
-          | Some 'r' -> Buffer.add_char b '\r'; advance (); go ()
-          | Some 't' -> Buffer.add_char b '\t'; advance (); go ()
-          | Some '/' -> Buffer.add_char b '/'; advance (); go ()
-          | Some 'u' ->
-            advance ();
-            if !pos + 4 > n then fail "truncated \\u escape";
-            let hex = String.sub s !pos 4 in
-            (match int_of_string_opt ("0x" ^ hex) with
-            | Some code when code < 0x80 -> Buffer.add_char b (Char.chr code)
-            | Some _ -> Buffer.add_char b '?'
-            | None -> fail "bad \\u escape");
-            pos := !pos + 4;
-            go ()
-          | _ -> fail "bad escape")
-        | Some c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-      in
-      go ();
-      Buffer.contents b
-    in
-    let parse_scalar () =
-      match peek () with
-      | Some '"' -> Str (parse_string ())
-      | Some 't' ->
-        if !pos + 4 <= n && String.sub s !pos 4 = "true" then begin
-          pos := !pos + 4;
-          Bool true
-        end
-        else fail "bad literal"
-      | Some 'f' ->
-        if !pos + 5 <= n && String.sub s !pos 5 = "false" then begin
-          pos := !pos + 5;
-          Bool false
-        end
-        else fail "bad literal"
-      | Some ('-' | '0' .. '9') ->
-        let start = !pos in
-        let is_num c =
-          match c with
-          | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-          | _ -> false
-        in
-        while (match peek () with Some c -> is_num c | None -> false) do
-          advance ()
-        done;
-        let tok = String.sub s start (!pos - start) in
-        (match int_of_string_opt tok with
-        | Some i -> Int i
-        | None -> (
-          match float_of_string_opt tok with
-          | Some f -> Float f
-          | None -> fail (Printf.sprintf "bad number %S" tok)))
-      | _ -> fail "expected a scalar value"
-    in
-    try
-      skip_ws ();
-      expect '{';
-      skip_ws ();
-      let fields = ref [] in
-      (match peek () with
-      | Some '}' -> advance ()
-      | _ ->
-        let rec members () =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          skip_ws ();
-          let v = parse_scalar () in
-          fields := (key, v) :: !fields;
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ()
-          | Some '}' -> advance ()
-          | _ -> fail "expected ',' or '}'"
-        in
-        members ());
-      skip_ws ();
-      if !pos <> n then fail "trailing input";
-      Ok (List.rev !fields)
-    with Bad m -> Error m
-end
-
-let params_fields (p : params) =
-  [
-    ("workload", Flat_json.Str p.workload);
-    ("topology", Flat_json.Str p.topology);
-    ("nodes", Flat_json.Int p.nodes);
-    ("f", Flat_json.Int p.f);
-    ("r_us", Flat_json.Int p.r);
-    ("bandwidth_bps", Flat_json.Int p.bandwidth_bps);
-    ("protect", Flat_json.Str (Format.asprintf "%a" Task.pp_criticality p.protect));
-    ("control_share", Flat_json.Str (share_str p.control_share));
-  ]
+module Flat_json = Json
 
 (* ------------------------------------------------------------------ *)
 (* Reports                                                             *)
 
 let render_report lines =
-  let open Flat_json in
-  let parse_all () =
-    List.filteri (fun _ l -> String.trim l <> "") lines
-    |> List.map (fun l ->
-           match parse l with
-           | Ok fields -> fields
-           | Error m -> raise (Bad (Printf.sprintf "%s in line %s" m l)))
-  in
-  match parse_all () with
-  | exception Bad m -> Error m
-  | objs ->
-    let get fields k = List.assoc_opt k fields in
-    let int_of fields k = match get fields k with Some (Int i) -> Some i | _ -> None in
-    let str_of fields k = match get fields k with Some (Str s) -> Some s | _ -> None in
-    let verdict_lines = List.filter (fun o -> int_of o "trial" <> None) objs in
-    let violation_lines = List.filter (fun o -> int_of o "violation" <> None) objs in
-    let summary = List.find_opt (fun o -> int_of o "total" <> None) objs in
+  match Json.parse_lines lines with
+  | Error _ as e -> e
+  | Ok parsed ->
+    let objs = List.map snd parsed in
+    let istr o k = match Json.get_int o k with Some i -> string_of_int i | None -> "?" in
+    let sstr o k = Option.value ~default:"?" (Json.get_str o k) in
+    let tstr o k = match Json.get_int o k with Some i -> Time.to_string i | None -> "?" in
+    let with_key k = List.filter (fun o -> Json.get_int o k <> None) objs in
+    let verdict_lines = with_key "trial" in
     let buf = Buffer.create 1024 in
-    let tally pred = List.length (List.filter pred verdict_lines) in
-    let verdict_is v o = str_of o "verdict" = Some v in
+    let verdict_is v o = Json.get_str o "verdict" = Some v in
+    let tally v = List.length (List.filter (verdict_is v) verdict_lines) in
     Buffer.add_string buf
       (Printf.sprintf
          "campaign report: %d trials — %d pass, %d violations, %d rejected, %d errors\n"
-         (List.length verdict_lines)
-         (tally (verdict_is "pass"))
-         (tally (verdict_is "violation"))
-         (tally (verdict_is "rejected"))
-         (tally (verdict_is "error")));
-    (match summary with
-    | Some s ->
-      (match int_of s "cache_hits", int_of s "cache_misses" with
+         (List.length verdict_lines) (tally "pass") (tally "violation") (tally "rejected")
+         (tally "error"));
+    (match with_key "total" with
+    | s :: _ ->
+      (match Json.get_int s "cache_hits", Json.get_int s "cache_misses" with
       | Some h, Some m ->
         Buffer.add_string buf
           (Printf.sprintf "plan cache: %d hits / %d misses (%d configs planned once)\n" h m m)
       | _ -> ());
-      (match str_of s "fingerprint" with
-      | Some fp -> Buffer.add_string buf (Printf.sprintf "fingerprint: %s\n" fp)
-      | None -> ())
-    | None -> ());
+      Option.iter
+        (fun fp -> Buffer.add_string buf (Printf.sprintf "fingerprint: %s\n" fp))
+        (Json.get_str s "fingerprint")
+    | [] -> ());
     Buffer.add_char buf '\n';
     (* Per-configuration aggregation, first-seen (= grid) order. *)
     let key_of o =
-      Printf.sprintf "%s/%s n=%s f=%s R=%sus bw=%s %s share=%s"
-        (Option.value ~default:"?" (str_of o "workload"))
-        (Option.value ~default:"?" (str_of o "topology"))
-        (match int_of o "nodes" with Some i -> string_of_int i | None -> "?")
-        (match int_of o "f" with Some i -> string_of_int i | None -> "?")
-        (match int_of o "r_us" with Some i -> string_of_int i | None -> "?")
-        (match int_of o "bandwidth_bps" with Some i -> string_of_int i | None -> "?")
-        (Option.value ~default:"?" (str_of o "protect"))
-        (Option.value ~default:"?" (str_of o "control_share"))
+      Printf.sprintf "%s/%s n=%s f=%s R=%sus bw=%s %s share=%s" (sstr o "workload")
+        (sstr o "topology") (istr o "nodes") (istr o "f") (istr o "r_us")
+        (istr o "bandwidth_bps") (sstr o "protect") (sstr o "control_share")
     in
     let groups =
       List.fold_left
@@ -1216,21 +1066,18 @@ let render_report lines =
     in
     List.iter
       (fun (k, os) ->
-        let os = List.rev os in
-        let n_tr = List.length os in
-        let viol = List.length (List.filter (verdict_is "violation") os) in
-        let rej = List.length (List.filter (verdict_is "rejected") os) in
+        let count v = string_of_int (List.length (List.filter (verdict_is v) os)) in
         let maxi key =
           List.fold_left
-            (fun a o -> match int_of o key with Some v -> Stdlib.max a v | None -> a)
+            (fun a o -> match Json.get_int o key with Some v -> Stdlib.max a v | None -> a)
             0 os
         in
         Table.add_row table
           [
             k;
-            string_of_int n_tr;
-            string_of_int viol;
-            string_of_int rej;
+            string_of_int (List.length os);
+            count "violation";
+            count "rejected";
             Time.to_string (maxi "worst_recovery_us");
             Time.to_string (maxi "incorrect_us");
           ])
@@ -1239,19 +1086,13 @@ let render_report lines =
     Buffer.add_char buf '\n';
     List.iter
       (fun o ->
-        match int_of o "violation", str_of o "script" with
+        match Json.get_int o "violation", Json.get_str o "script" with
         | Some idx, Some script ->
           Buffer.add_string buf
             (Printf.sprintf
                "violation (trial %d): %s\n  events %s (from %s), shrink runs %s, worst recovery %s vs R %s\n"
-               idx script
-               (match int_of o "events" with Some i -> string_of_int i | None -> "?")
-               (match int_of o "events_before" with Some i -> string_of_int i | None -> "?")
-               (match int_of o "shrink_runs" with Some i -> string_of_int i | None -> "?")
-               (match int_of o "worst_recovery_us" with
-               | Some i -> Time.to_string i
-               | None -> "?")
-               (match int_of o "r_us" with Some i -> Time.to_string i | None -> "?"))
+               idx script (istr o "events") (istr o "events_before") (istr o "shrink_runs")
+               (tstr o "worst_recovery_us") (tstr o "r_us"))
         | _ -> ())
-      violation_lines;
+      (with_key "violation");
     Ok (Buffer.contents buf)

@@ -86,8 +86,14 @@ val grid_params : grid -> params list
 
 val validate_grid : grid -> (unit, string) result
 (** Rejects empty axes, unknown workload/topology/fault-class names,
-    and non-positive counts/bounds, so usage errors surface before any
-    planning happens. *)
+    non-positive counts/bounds and control shares outside (0, 0.6]
+    (NaN included), so usage errors surface before any planning
+    happens. *)
+
+val point_grid : params -> grid
+(** The one-configuration grid at the given params, drawing from every
+    known fault class: [validate_grid (point_grid p)] validates a single
+    configuration by the grid rules. *)
 
 (** {1 Campaign specs and trials} *)
 
@@ -278,26 +284,29 @@ val render_report : string list -> (string, string) Stdlib.result
     totals, a per-configuration table and the violation schedules.
     [Error] on malformed input. *)
 
-(** Minimal flat-JSON parser for artifact lines (objects of string /
-    int / float / bool fields only — exactly what this module emits). *)
-module Flat_json : sig
-  type value = Int of int | Float of float | Str of string | Bool of bool
-
-  val parse : string -> ((string * value) list, string) Stdlib.result
-
-  val to_string : (string * value) list -> string
-  (** The canonical encoding {!parse} inverts:
-      [parse (to_string fields) = Ok fields] and re-encoding is
-      byte-identical, for any fields whose floats are finite. Field
-      order is preserved. *)
-end
+module Flat_json = Json
+(** {!Btr_util.Json} under the name this module's codec had before it
+    moved there; the campaign-trial benchmark ([trialbench/]) still
+    reads artifacts through it. *)
 
 val grid_axes : grid -> string
 (** The grid-axes summary string artifact headers embed (the ["grid"]
     field) — stable identity of the config cross product, axis values
     comma-joined. *)
 
-val params_fields : params -> (string * Flat_json.value) list
+val params_fields : params -> Json.fields
 (** The parameter fields exactly as {!verdict_json} embeds them
     ([workload] … [control_share], in order), for artifact writers that
     extend the schema — the orchestrator's frontier slice lines. *)
+
+val params_of_fields : Json.fields -> (params, string) Stdlib.result
+(** The inverse of {!params_fields} (the control share round-trips at
+    the six decimals it is written with); [Error] names a missing or
+    unparseable field. Reads the params of an artifact verdict line. *)
+
+val criticality_of_name : string -> (Task.criticality, string) Stdlib.result
+(** Parses a protect level as {!Task.pp_criticality} prints it. *)
+
+val share_of_name : string -> (float option, string) Stdlib.result
+(** Parses a control share: ["default"] or a float. Range checks are
+    {!validate_grid}'s. *)

@@ -10,7 +10,6 @@
 
 open Btr_util
 module Obs = Btr_obs.Obs
-module J = Campaign.Flat_json
 
 (* ------------------------------------------------------------------ *)
 (* Sharding                                                            *)
@@ -74,28 +73,22 @@ let spec_fingerprint (spec : Campaign.spec) =
 (* ------------------------------------------------------------------ *)
 (* Artifact lines                                                      *)
 
-let int_of fields k = match List.assoc_opt k fields with Some (J.Int i) -> Some i | _ -> None
-let str_of fields k = match List.assoc_opt k fields with Some (J.Str s) -> Some s | _ -> None
-
-let bool_of fields k =
-  match List.assoc_opt k fields with Some (J.Bool b) -> Some b | _ -> None
-
 let header_line ~seed ~trials ~configs ~shrink ~grid ~spec_fp shard =
-  J.to_string
+  Json.to_string
     [
-      ("campaign", J.Int 2);
-      ("seed", J.Int seed);
-      ("trials", J.Int trials);
-      ("configs", J.Int configs);
-      ("shrink", J.Bool shrink);
-      ("grid", J.Str grid);
-      ("spec_fp", J.Str spec_fp);
-      ("shard_index", J.Int shard.index);
-      ("shard_count", J.Int shard.count);
+      ("campaign", Json.Int 2);
+      ("seed", Json.Int seed);
+      ("trials", Json.Int trials);
+      ("configs", Json.Int configs);
+      ("shrink", Json.Bool shrink);
+      ("grid", Json.Str grid);
+      ("spec_fp", Json.Str spec_fp);
+      ("shard_index", Json.Int shard.index);
+      ("shard_count", Json.Int shard.count);
     ]
 
 let verdict_name_of_line line =
-  match J.parse line with Ok fields -> str_of fields "verdict" | Error _ -> None
+  match Json.parse line with Ok fields -> Json.get_str fields "verdict" | Error _ -> None
 
 (* The summary's tallies are recomputed from the verdict lines so a
    resumed or combined artifact summarizes the merged whole, not just
@@ -106,17 +99,17 @@ let summary_line ~verdict_lines ~configs ~complete shard =
   let tally v =
     List.length (List.filter (fun l -> verdict_name_of_line l = Some v) verdict_lines)
   in
-  J.to_string
+  Json.to_string
     [
-      ("total", J.Int (List.length verdict_lines));
-      ("violations", J.Int (tally "violation"));
-      ("rejected", J.Int (tally "rejected"));
-      ("errors", J.Int (tally "error"));
-      ("configs", J.Int configs);
-      ("complete", J.Bool complete);
-      ("shard_index", J.Int shard.index);
-      ("shard_count", J.Int shard.count);
-      ("fingerprint", J.Str (Fnv.to_hex (Fnv.hash64_lines verdict_lines)));
+      ("total", Json.Int (List.length verdict_lines));
+      ("violations", Json.Int (tally "violation"));
+      ("rejected", Json.Int (tally "rejected"));
+      ("errors", Json.Int (tally "error"));
+      ("configs", Json.Int configs);
+      ("complete", Json.Bool complete);
+      ("shard_index", Json.Int shard.index);
+      ("shard_count", Json.Int shard.count);
+      ("fingerprint", Json.Str (Fnv.to_hex (Fnv.hash64_lines verdict_lines)));
     ]
 
 type artifact = {
@@ -134,24 +127,17 @@ type artifact = {
 }
 
 let parse_artifact lines =
-  let nonblank = List.filter (fun l -> String.trim l <> "") lines in
-  (* Parse every line; a torn final line (the writer was killed
-     mid-write) is dropped, anything else malformed is an error. *)
-  let rec parse_all acc = function
-    | [] -> Ok (List.rev acc)
-    | [ last ] -> (
-      match J.parse last with
-      | Ok f -> Ok (List.rev ((last, f) :: acc))
-      | Error _ -> Ok (List.rev acc))
-    | l :: rest -> (
-      match J.parse l with
-      | Ok f -> parse_all ((l, f) :: acc) rest
-      | Error m -> Error (Printf.sprintf "malformed artifact line %S: %s" l m))
+  (* A torn final line (the writer was killed mid-write) is dropped;
+     anything else malformed is an error. *)
+  let lines =
+    match List.rev (List.filter (fun l -> String.trim l <> "") lines) with
+    | last :: rest when Result.is_error (Json.parse last) -> List.rev rest
+    | _ -> lines
   in
   let ( let* ) r k = match r with Error _ as e -> e | Ok v -> k v in
-  let* objs = parse_all [] nonblank in
-  let headers = List.filter (fun (_, f) -> int_of f "campaign" <> None) objs in
-  let summaries = List.filter (fun (_, f) -> int_of f "total" <> None) objs in
+  let* objs = Json.parse_lines lines in
+  let headers = List.filter (fun (_, f) -> Json.get_int f "campaign" <> None) objs in
+  let summaries = List.filter (fun (_, f) -> Json.get_int f "total" <> None) objs in
   let* _, header =
     match headers with
     | [ h ] -> Ok h
@@ -159,7 +145,7 @@ let parse_artifact lines =
     | _ -> Error "artifact has multiple header lines (concatenated shards? use combine)"
   in
   let* () =
-    match int_of header "campaign" with
+    match Json.get_int header "campaign" with
     | Some 2 -> Ok ()
     | Some v ->
       Error
@@ -173,39 +159,27 @@ let parse_artifact lines =
     | [ (_, s) ] -> Ok (Some s)
     | _ -> Error "artifact has multiple summary lines"
   in
-  let req name =
-    match int_of header name with
+  let req get name =
+    match get header name with
     | Some v -> Ok v
     | None -> Error (Printf.sprintf "artifact header is missing %S" name)
   in
-  let* a_seed = req "seed" in
-  let* a_trials = req "trials" in
-  let* a_configs = req "configs" in
-  let* shard_index = req "shard_index" in
-  let* shard_count = req "shard_count" in
+  let* a_seed = req Json.get_int "seed" in
+  let* a_trials = req Json.get_int "trials" in
+  let* a_configs = req Json.get_int "configs" in
+  let* shard_index = req Json.get_int "shard_index" in
+  let* shard_count = req Json.get_int "shard_count" in
   let a_shard = { index = shard_index; count = shard_count } in
   let* () =
     if valid_shard a_shard then Ok ()
     else Error (Printf.sprintf "artifact header has bad shard %s" (shard_to_string a_shard))
   in
-  let* a_shrink =
-    match bool_of header "shrink" with
-    | Some b -> Ok b
-    | None -> Error "artifact header is missing \"shrink\""
-  in
-  let* a_grid =
-    match str_of header "grid" with
-    | Some g -> Ok g
-    | None -> Error "artifact header is missing \"grid\""
-  in
-  let* a_spec_fp =
-    match str_of header "spec_fp" with
-    | Some fp -> Ok fp
-    | None -> Error "artifact header is missing \"spec_fp\""
-  in
+  let* a_shrink = req Json.get_bool "shrink" in
+  let* a_grid = req Json.get_str "grid" in
+  let* a_spec_fp = req Json.get_str "spec_fp" in
   let keyed key =
     List.filter_map
-      (fun (line, f) -> match int_of f key with Some i -> Some (i, line) | None -> None)
+      (fun (line, f) -> match Json.get_int f key with Some i -> Some (i, line) | None -> None)
       objs
   in
   let sort l = List.sort (fun (a, _) (b, _) -> Int.compare a b) l in
@@ -222,11 +196,11 @@ let parse_artifact lines =
     | None -> Ok ()
   in
   let a_complete =
-    match summary with Some s -> bool_of s "complete" = Some true | None -> false
+    match summary with Some s -> Json.get_bool s "complete" = Some true | None -> false
   in
   let a_fingerprint =
     match summary with
-    | Some s -> Option.value ~default:"" (str_of s "fingerprint")
+    | Some s -> Option.value ~default:"" (Json.get_str s "fingerprint")
     | None -> ""
   in
   Ok
@@ -573,18 +547,7 @@ let eval_point ~cache fs (base : Campaign.params) v =
   let strikes = match fs.axis with Axis_strikes -> Some v | _ -> None in
   let pspec =
     Campaign.spec
-      ~grid:
-        {
-          Campaign.workloads = [ p.Campaign.workload ];
-          topologies = [ p.Campaign.topology ];
-          node_counts = [ p.Campaign.nodes ];
-          fault_bounds = [ p.Campaign.f ];
-          recovery_bounds = [ p.Campaign.r ];
-          bandwidths = [ p.Campaign.bandwidth_bps ];
-          protect_levels = [ p.Campaign.protect ];
-          control_shares = [ p.Campaign.control_share ];
-          classes = fs.slice_grid.Campaign.classes;
-        }
+      ~grid:{ (Campaign.point_grid p) with Campaign.classes = fs.slice_grid.Campaign.classes }
       ~trials:fs.probes ~seed:fs.fseed ~shrink:false ()
   in
   let rec probe j used =
@@ -692,38 +655,38 @@ let grid_scan ?obs fs = run_frontier ?obs fs ~search:scan_search
 let frontier_lines fr =
   let fs = fr.fspec in
   let header =
-    J.to_string
+    Json.to_string
       [
-        ("frontier", J.Int 1);
-        ("seed", J.Int fs.fseed);
-        ("axis", J.Str (axis_name fs.axis));
-        ("lo", J.Int fs.lo);
-        ("hi", J.Int (fs.lo + ((fr.points - 1) * fs.tolerance)));
-        ("tolerance", J.Int fs.tolerance);
-        ("probes_per_point", J.Int fs.probes);
-        ("points", J.Int fr.points);
-        ("slices", J.Int (List.length fr.slices));
-        ("grid", J.Str (Campaign.grid_axes (slice_axes fs)));
+        ("frontier", Json.Int 1);
+        ("seed", Json.Int fs.fseed);
+        ("axis", Json.Str (axis_name fs.axis));
+        ("lo", Json.Int fs.lo);
+        ("hi", Json.Int (fs.lo + ((fr.points - 1) * fs.tolerance)));
+        ("tolerance", Json.Int fs.tolerance);
+        ("probes_per_point", Json.Int fs.probes);
+        ("points", Json.Int fr.points);
+        ("slices", Json.Int (List.length fr.slices));
+        ("grid", Json.Str (Campaign.grid_axes (slice_axes fs)));
       ]
   in
   let slice_line s =
-    J.to_string
-      ([ ("slice", J.Int s.slice) ]
+    Json.to_string
+      ([ ("slice", Json.Int s.slice) ]
       @ Campaign.params_fields s.base
-      @ [ ("lo_admit", J.Bool s.lo_admit); ("hi_admit", J.Bool s.hi_admit) ]
+      @ [ ("lo_admit", Json.Bool s.lo_admit); ("hi_admit", Json.Bool s.hi_admit) ]
       @ (match s.found with
-        | Some b -> [ ("admit_at", J.Int b.admit_at); ("violate_at", J.Int b.violate_at) ]
-        | None -> [ ("no_boundary", J.Bool true) ])
-      @ [ ("evals", J.Int s.evals); ("probes", J.Int s.probes_run) ])
+        | Some b -> [ ("admit_at", Json.Int b.admit_at); ("violate_at", Json.Int b.violate_at) ]
+        | None -> [ ("no_boundary", Json.Bool true) ])
+      @ [ ("evals", Json.Int s.evals); ("probes", Json.Int s.probes_run) ])
   in
   let slice_lines = List.map slice_line fr.slices in
   let summary =
-    J.to_string
+    Json.to_string
       [
-        ("slices", J.Int (List.length fr.slices));
-        ("boundaries", J.Int (List.length (List.filter (fun s -> s.found <> None) fr.slices)));
-        ("total_probes", J.Int fr.total_probes);
-        ("fingerprint", J.Str (Fnv.to_hex (Fnv.hash64_lines slice_lines)));
+        ("slices", Json.Int (List.length fr.slices));
+        ("boundaries", Json.Int (List.length (List.filter (fun s -> s.found <> None) fr.slices)));
+        ("total_probes", Json.Int fr.total_probes);
+        ("fingerprint", Json.Str (Fnv.to_hex (Fnv.hash64_lines slice_lines)));
       ]
   in
   (header :: slice_lines) @ [ summary ]
@@ -731,42 +694,32 @@ let frontier_lines fr =
 let is_frontier_artifact lines =
   match List.find_opt (fun l -> String.trim l <> "") lines with
   | None -> false
-  | Some l -> ( match J.parse l with Ok f -> int_of f "frontier" <> None | Error _ -> false)
+  | Some l -> (
+    match Json.parse l with Ok f -> Json.get_int f "frontier" <> None | Error _ -> false)
 
 let render_frontier lines =
-  let nonblank = List.filter (fun l -> String.trim l <> "") lines in
-  let rec parse_all acc = function
-    | [] -> Ok (List.rev acc)
-    | l :: rest -> (
-      match J.parse l with
-      | Ok f -> parse_all (f :: acc) rest
-      | Error m -> Error (Printf.sprintf "malformed frontier line %S: %s" l m))
-  in
-  match parse_all [] nonblank with
+  match Json.parse_lines lines with
   | Error _ as e -> e
-  | Ok objs -> (
-    match List.find_opt (fun f -> int_of f "frontier" <> None) objs with
+  | Ok parsed -> (
+    let objs = List.map snd parsed in
+    match List.find_opt (fun f -> Json.get_int f "frontier" <> None) objs with
     | None -> Error "not a frontier artifact (no frontier header)"
     | Some header ->
-      let axis = Option.value ~default:"?" (str_of header "axis") in
-      let slices = List.filter (fun f -> int_of f "slice" <> None) objs in
-      let summary = List.find_opt (fun f -> int_of f "total_probes" <> None) objs in
+      let axis = Option.value ~default:"?" (Json.get_str header "axis") in
+      let slices = List.filter (fun f -> Json.get_int f "slice" <> None) objs in
+      let summary = List.find_opt (fun f -> Json.get_int f "total_probes" <> None) objs in
       let show v = if axis = "r" then Time.to_string v else string_of_int v in
+      let num f o k = match Json.get_int o k with Some v -> f v | None -> "?" in
       let buf = Buffer.create 1024 in
       Buffer.add_string buf
         (Printf.sprintf
            "frontier report: axis %s in [%s, %s] step %s, %s probes/point, %d slices%s\n"
-           axis
-           (match int_of header "lo" with Some v -> show v | None -> "?")
-           (match int_of header "hi" with Some v -> show v | None -> "?")
-           (match int_of header "tolerance" with Some v -> show v | None -> "?")
-           (match int_of header "probes_per_point" with
-           | Some v -> string_of_int v
-           | None -> "?")
+           axis (num show header "lo") (num show header "hi") (num show header "tolerance")
+           (num string_of_int header "probes_per_point")
            (List.length slices)
            (match summary with
            | Some s -> (
-             match int_of s "total_probes" with
+             match Json.get_int s "total_probes" with
              | Some p -> Printf.sprintf ", %d probes total" p
              | None -> "")
            | None -> ""));
@@ -777,27 +730,25 @@ let render_frontier lines =
       in
       List.iter
         (fun o ->
-          let istr k = match int_of o k with Some v -> string_of_int v | None -> "?" in
-          let sstr k = Option.value ~default:"?" (str_of o k) in
+          let istr k = num string_of_int o k in
+          let sstr k = Option.value ~default:"?" (Json.get_str o k) in
           let axis_marked k name =
             if axis = name then "*" else istr k
           in
           let config =
             Printf.sprintf "%s/%s n=%s f=%s R=%s bw=%s %s share=%s" (sstr "workload")
               (sstr "topology") (istr "nodes") (axis_marked "f" "f")
-              (if axis = "r" then "*"
-               else
-                 match int_of o "r_us" with Some v -> Time.to_string v | None -> "?")
+              (if axis = "r" then "*" else num Time.to_string o "r_us")
               (axis_marked "bandwidth_bps" "bandwidth")
               (sstr "protect") (sstr "control_share")
           in
           let boundary =
-            match int_of o "admit_at", int_of o "violate_at" with
+            match Json.get_int o "admit_at", Json.get_int o "violate_at" with
             | Some a, Some v ->
               if a > v then Printf.sprintf "admit >= %s (violate <= %s)" (show a) (show v)
               else Printf.sprintf "admit <= %s (violate >= %s)" (show a) (show v)
             | _ -> (
-              match bool_of o "lo_admit" with
+              match Json.get_bool o "lo_admit" with
               | Some true -> "all admit"
               | Some false -> "all violate"
               | None -> "?")

@@ -188,36 +188,15 @@ let pp_report ppf r =
   Format.fprintf ppf "@]"
 
 let encode_diagnostic b d =
-  Buffer.add_string b "{\"code\":\"";
-  Buffer.add_string b (code_id d.code);
-  Buffer.add_string b "\",\"severity\":\"";
-  Buffer.add_string b (severity_name (severity_of d.code));
-  Buffer.add_string b "\",\"message\":\"";
-  Btr_util.Json.escape b d.message;
-  Buffer.add_char b '"';
-  Option.iter
-    (fun fs ->
-      Buffer.add_string b ",\"faulty\":[";
-      List.iteri
-        (fun i n ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (string_of_int n))
-        fs;
-      Buffer.add_char b ']')
-    d.locus.faulty;
-  let opt_int key v =
-    Option.iter
-      (fun n ->
-        Buffer.add_string b ",\"";
-        Buffer.add_string b key;
-        Buffer.add_string b "\":";
-        Buffer.add_string b (string_of_int n))
-      v
-  in
-  opt_int "node" d.locus.node;
-  opt_int "flow" d.locus.flow;
-  opt_int "link" d.locus.link;
-  opt_int "new_fault" d.locus.new_fault;
+  Buffer.add_char b '{';
+  Json.str b "code" (code_id d.code);
+  Json.str b "severity" (severity_name (severity_of d.code));
+  Json.str b "message" d.message;
+  Option.iter (Json.ints b "faulty") d.locus.faulty;
+  Option.iter (Json.int b "node") d.locus.node;
+  Option.iter (Json.int b "flow") d.locus.flow;
+  Option.iter (Json.int b "link") d.locus.link;
+  Option.iter (Json.int b "new_fault") d.locus.new_fault;
   Buffer.add_char b '}'
 
 let diagnostic_to_json d =
@@ -250,10 +229,13 @@ let compare_diagnostic d1 d2 =
 
 let report_to_json r =
   let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"verdict\":\"%s\",\"modes\":%d,\"transitions\":%d,\"fault_sets\":%d,\"diagnostics\":["
-       (if passed r then "pass" else "fail")
-       r.modes r.transitions r.fault_sets);
+  Buffer.add_char b '{';
+  Json.str b "verdict" (if passed r then "pass" else "fail");
+  Json.int b "modes" r.modes;
+  Json.int b "transitions" r.transitions;
+  Json.int b "fault_sets" r.fault_sets;
+  Json.key b "diagnostics";
+  Buffer.add_char b '[';
   List.iteri
     (fun i d ->
       if i > 0 then Buffer.add_char b ',';

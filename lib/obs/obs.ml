@@ -160,22 +160,15 @@ module Registry = struct
 
   let to_json t =
     let b = Buffer.create 256 in
-    let obj pairs =
+    let obj name pairs =
+      Json.key b name;
       Buffer.add_char b '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '"';
-          Json.escape b k;
-          Buffer.add_string b "\":";
-          Buffer.add_string b (string_of_int v))
-        pairs;
+      List.iter (fun (k, v) -> Json.int b k v) pairs;
       Buffer.add_char b '}'
     in
-    Buffer.add_string b "{\"counters\":";
-    obj (counters t);
-    Buffer.add_string b ",\"gauges\":";
-    obj (gauges t);
+    Buffer.add_char b '{';
+    obj "counters" (counters t);
+    obj "gauges" (gauges t);
     Buffer.add_char b '}';
     Buffer.contents b
 end
@@ -215,157 +208,123 @@ let payload_tag = function
   | Frontier_located _ -> "frontier-located"
   | Note _ -> "note"
 
-let add_int b key v =
-  Buffer.add_string b ",\"";
-  Buffer.add_string b key;
-  Buffer.add_string b "\":";
-  Buffer.add_string b (string_of_int v)
-
-let add_str b key v =
-  Buffer.add_string b ",\"";
-  Buffer.add_string b key;
-  Buffer.add_string b "\":\"";
-  Json.escape b v;
-  Buffer.add_char b '"'
-
-let add_bool b key v =
-  Buffer.add_string b ",\"";
-  Buffer.add_string b key;
-  Buffer.add_string b (if v then "\":true" else "\":false")
-
-let add_int_list b key vs =
-  Buffer.add_string b ",\"";
-  Buffer.add_string b key;
-  Buffer.add_string b "\":[";
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int v))
-    vs;
-  Buffer.add_char b ']'
-
 let add_payload b = function
   | Run_started { until } ->
-    if until = Time.infinity then add_int b "until" (-1)
-    else add_int b "until" until
-  | Run_finished { events } -> add_int b "events" events
+    if until = Time.infinity then Json.int b "until" (-1)
+    else Json.int b "until" until
+  | Run_finished { events } -> Json.int b "events" events
   | Msg_sent { src; dst; cls; bytes } ->
-    add_int b "src" src;
-    add_int b "dst" dst;
-    add_str b "cls" cls;
-    add_int b "bytes" bytes
+    Json.int b "src" src;
+    Json.int b "dst" dst;
+    Json.str b "cls" cls;
+    Json.int b "bytes" bytes
   | Msg_delivered { src; dst; cls; bytes; latency; hops } ->
-    add_int b "src" src;
-    add_int b "dst" dst;
-    add_str b "cls" cls;
-    add_int b "bytes" bytes;
-    add_int b "latency" latency;
-    add_int b "hops" hops
+    Json.int b "src" src;
+    Json.int b "dst" dst;
+    Json.str b "cls" cls;
+    Json.int b "bytes" bytes;
+    Json.int b "latency" latency;
+    Json.int b "hops" hops
   | Msg_lost { src; dst; cls } ->
-    add_int b "src" src;
-    add_int b "dst" dst;
-    add_str b "cls" cls
+    Json.int b "src" src;
+    Json.int b "dst" dst;
+    Json.str b "cls" cls
   | Relay_dropped { relay; src; dst; cls } ->
-    add_int b "relay" relay;
-    add_int b "src" src;
-    add_int b "dst" dst;
-    add_str b "cls" cls
+    Json.int b "relay" relay;
+    Json.int b "src" src;
+    Json.int b "dst" dst;
+    Json.str b "cls" cls
   | Lane_exec { task; period; role } ->
-    add_int b "task" task;
-    add_int b "period" period;
-    add_str b "role" role
+    Json.int b "task" task;
+    Json.int b "period" period;
+    Json.str b "role" role
   | Checker_replay { task; lane; period; ok } ->
-    add_int b "task" task;
-    add_int b "lane" lane;
-    add_int b "period" period;
-    add_bool b "ok" ok
+    Json.int b "task" task;
+    Json.int b "lane" lane;
+    Json.int b "period" period;
+    Json.bool b "ok" ok
   | Watchdog_late { flow; period; from_node; lateness } ->
-    add_int b "flow" flow;
-    add_int b "period" period;
-    add_int b "from" from_node;
-    add_int b "lateness" lateness
+    Json.int b "flow" flow;
+    Json.int b "period" period;
+    Json.int b "from" from_node;
+    Json.int b "lateness" lateness
   | Watchdog_missing { flow; period; from_node } ->
-    add_int b "flow" flow;
-    add_int b "period" period;
-    add_int b "from" from_node
+    Json.int b "flow" flow;
+    Json.int b "period" period;
+    Json.int b "from" from_node
   | Watchdog_suspect { flow; period; from_node; account } ->
-    add_int b "flow" flow;
-    add_int b "period" period;
-    add_int b "from" from_node;
-    add_int b "account" account
+    Json.int b "flow" flow;
+    Json.int b "period" period;
+    Json.int b "from" from_node;
+    Json.int b "account" account
   | Corroborated { sender; watchers } ->
-    add_int b "sender" sender;
-    add_int b "watchers" watchers
+    Json.int b "sender" sender;
+    Json.int b "watchers" watchers
   | Evidence_emitted { accused; fault_class; period } ->
-    add_str b "accused" accused;
-    add_str b "class" fault_class;
-    add_int b "period" period
+    Json.str b "accused" accused;
+    Json.str b "class" fault_class;
+    Json.int b "period" period
   | Evidence_admitted { verdict; detector; accused } ->
-    add_str b "verdict" verdict;
-    add_int b "detector" detector;
-    add_str b "accused" accused
-  | Mode_staged { faulty } -> add_int_list b "faulty" faulty
+    Json.str b "verdict" verdict;
+    Json.int b "detector" detector;
+    Json.str b "accused" accused
+  | Mode_staged { faulty } -> Json.ints b "faulty" faulty
   | Mode_activated { faulty; latency } ->
-    add_int_list b "faulty" faulty;
-    add_int b "latency" latency
-  | Fault_injected { behavior } -> add_str b "behavior" behavior
+    Json.ints b "faulty" faulty;
+    Json.int b "latency" latency
+  | Fault_injected { behavior } -> Json.str b "behavior" behavior
   | Delivery { flow; period; lane } ->
-    add_int b "flow" flow;
-    add_int b "period" period;
-    add_int b "lane" lane
+    Json.int b "flow" flow;
+    Json.int b "period" period;
+    Json.int b "lane" lane
   | Shed { flow; period } ->
-    add_int b "flow" flow;
-    add_int b "period" period
+    Json.int b "flow" flow;
+    Json.int b "period" period
   | Verdict { flow; period; status } ->
-    add_int b "flow" flow;
-    add_int b "period" period;
-    add_str b "status" status
+    Json.int b "flow" flow;
+    Json.int b "period" period;
+    Json.str b "status" status
   | Standby_activated { task; period } ->
-    add_int b "task" task;
-    add_int b "period" period
-  | Audit_exposed { node } -> add_int b "exposed" node
+    Json.int b "task" task;
+    Json.int b "period" period
+  | Audit_exposed { node } -> Json.int b "exposed" node
   | Check_diagnostic { code; severity; detail } ->
-    add_str b "code" code;
-    add_str b "severity" severity;
-    add_str b "detail" detail
+    Json.str b "code" code;
+    Json.str b "severity" severity;
+    Json.str b "detail" detail
   | Campaign_started { trials; configs } ->
-    add_int b "trials" trials;
-    add_int b "configs" configs
+    Json.int b "trials" trials;
+    Json.int b "configs" configs
   | Trial_verdict { trial; verdict } ->
-    add_int b "trial" trial;
-    add_str b "verdict" verdict
+    Json.int b "trial" trial;
+    Json.str b "verdict" verdict
   | Violation_shrunk { trial; events_before; events_after } ->
-    add_int b "trial" trial;
-    add_int b "before" events_before;
-    add_int b "after" events_after
+    Json.int b "trial" trial;
+    Json.int b "before" events_before;
+    Json.int b "after" events_after
   | Campaign_sharded { shard; shards; trials } ->
-    add_int b "shard" shard;
-    add_int b "shards" shards;
-    add_int b "trials" trials
+    Json.int b "shard" shard;
+    Json.int b "shards" shards;
+    Json.int b "trials" trials
   | Campaign_resumed { skipped; remaining } ->
-    add_int b "skipped" skipped;
-    add_int b "remaining" remaining
+    Json.int b "skipped" skipped;
+    Json.int b "remaining" remaining
   | Frontier_located { slice; axis; boundary; probes } ->
-    add_int b "slice" slice;
-    add_str b "axis" axis;
-    add_int b "boundary" boundary;
-    add_int b "probes" probes
+    Json.int b "slice" slice;
+    Json.str b "axis" axis;
+    Json.int b "boundary" boundary;
+    Json.int b "probes" probes
   | Note { what; detail } ->
-    add_str b "what" what;
-    add_str b "detail" detail
+    Json.str b "what" what;
+    Json.str b "detail" detail
 
 let encode_event b e =
-  Buffer.add_string b "{\"t\":";
-  Buffer.add_string b (string_of_int e.at);
-  Buffer.add_string b ",\"seq\":";
-  Buffer.add_string b (string_of_int e.seq);
-  Buffer.add_string b ",\"sub\":\"";
-  Buffer.add_string b (subsystem_name e.sub);
-  Buffer.add_char b '"';
-  if e.node >= 0 then add_int b "node" e.node;
-  Buffer.add_string b ",\"ev\":\"";
-  Buffer.add_string b (payload_tag e.payload);
-  Buffer.add_char b '"';
+  Buffer.add_char b '{';
+  Json.int b "t" e.at;
+  Json.int b "seq" e.seq;
+  Json.str b "sub" (subsystem_name e.sub);
+  if e.node >= 0 then Json.int b "node" e.node;
+  Json.str b "ev" (payload_tag e.payload);
   add_payload b e.payload;
   Buffer.add_char b '}'
 

@@ -51,7 +51,11 @@ let test_grid_validation () =
   check_bool "zero R" false
     (ok { Campaign.default_grid with Campaign.recovery_bounds = [ Time.zero ] });
   check_bool "share > 0.6" false
-    (ok { Campaign.default_grid with Campaign.control_shares = [ Some 0.9 ] })
+    (ok { Campaign.default_grid with Campaign.control_shares = [ Some 0.9 ] });
+  check_bool "share NaN" false
+    (ok { Campaign.default_grid with Campaign.control_shares = [ Some Float.nan ] });
+  check_bool "share 0.6" true
+    (ok { Campaign.default_grid with Campaign.control_shares = [ Some 0.6 ] })
 
 let test_classes_validation () =
   let ok g = Result.is_ok (Campaign.validate_grid g) in
@@ -479,87 +483,14 @@ let test_flat_json_parses_verdicts () =
   let result = Campaign.run ~jobs:1 spec in
   List.iter
     (fun v ->
-      match Campaign.Flat_json.parse (Campaign.verdict_json v) with
+      match Json.parse (Campaign.verdict_json v) with
       | Error m -> Alcotest.failf "verdict line unparseable: %s" m
       | Ok fields ->
-        check_bool "has trial" true
-          (match List.assoc_opt "trial" fields with
-          | Some (Campaign.Flat_json.Int _) -> true
-          | _ -> false);
-        check_bool "has verdict" true
-          (match List.assoc_opt "verdict" fields with
-          | Some (Campaign.Flat_json.Str _) -> true
-          | _ -> false))
+        check_bool "has trial" true (Json.get_int fields "trial" <> None);
+        check_bool "has verdict" true (Json.get_str fields "verdict" <> None);
+        check_bool "params read back" true
+          (Campaign.params_of_fields fields = Ok v.Campaign.trial.Campaign.params))
     result.Campaign.verdicts
-
-let test_flat_json_rejects_garbage () =
-  List.iter
-    (fun s ->
-      check_bool (Printf.sprintf "reject %S" s) true
-        (Result.is_error (Campaign.Flat_json.parse s)))
-    [ ""; "{"; "{\"a\":}"; "{\"a\":1,}"; "{\"a\":1}x"; "[1]"; "{\"a\":{}}" ]
-
-let test_flat_json_escapes () =
-  match Campaign.Flat_json.parse "{\"s\":\"a\\\"b\\n\\u0041\",\"n\":-3,\"b\":true}" with
-  | Error m -> Alcotest.failf "parse: %s" m
-  | Ok fields ->
-    check_bool "string unescaped" true
-      (List.assoc_opt "s" fields = Some (Campaign.Flat_json.Str "a\"b\nA"));
-    check_bool "negative int" true
-      (List.assoc_opt "n" fields = Some (Campaign.Flat_json.Int (-3)));
-    check_bool "bool" true
-      (List.assoc_opt "b" fields = Some (Campaign.Flat_json.Bool true))
-
-(* Satellite: encode -> parse -> re-encode is the identity on arbitrary
-   field lists, byte for byte. Strings exercise the full escape table
-   (quotes, backslashes, control bytes, high bytes pass through raw);
-   floats are kept finite and must survive exactly, including integral
-   values, which float_repr keeps float-shaped with a trailing '.'. *)
-let prop_flat_json_roundtrip =
-  let module J = Campaign.Flat_json in
-  let gen =
-    let open QCheck.Gen in
-    let any_char = map Char.chr (int_bound 255) in
-    let any_string = string_size ~gen:any_char (int_bound 12) in
-    let finite_float =
-      map (fun f -> if Float.is_finite f then f else 0.5) float
-    in
-    let value =
-      oneof
-        [
-          map (fun i -> J.Int i) int;
-          map (fun b -> J.Bool b) bool;
-          map (fun s -> J.Str s) any_string;
-          map (fun f -> J.Float f) finite_float;
-        ]
-    in
-    list_size (int_bound 8) (pair any_string value)
-  in
-  let print fields =
-    String.concat ";"
-      (List.map
-         (fun (k, v) ->
-           Printf.sprintf "%S=%s" k
-             (match v with
-             | Campaign.Flat_json.Str s -> Printf.sprintf "Str %S" s
-             | Campaign.Flat_json.Int i -> Printf.sprintf "Int %d" i
-             | Campaign.Flat_json.Bool b -> Printf.sprintf "Bool %b" b
-             | Campaign.Flat_json.Float f -> Printf.sprintf "Float %h" f))
-         fields)
-  in
-  QCheck.Test.make ~name:"flat json encode/parse round-trip" ~count:300
-    (QCheck.make ~print gen) (fun fields ->
-      let line = Campaign.Flat_json.to_string fields in
-      match Campaign.Flat_json.parse line with
-      | Error m -> QCheck.Test.fail_reportf "unparseable %S: %s" line m
-      | Ok back ->
-        if back <> fields then
-          QCheck.Test.fail_reportf "fields changed: %s <> %s" (print back)
-            (print fields)
-        else if Campaign.Flat_json.to_string back <> line then
-          QCheck.Test.fail_reportf "re-encode not byte-identical: %S <> %S"
-            (Campaign.Flat_json.to_string back) line
-        else true)
 
 let test_report_renders () =
   let spec = Campaign.spec ~trials:10 ~seed:7 () in
@@ -621,9 +552,6 @@ let suite =
     Alcotest.test_case "shrinker weakens parameters" `Quick test_shrinker_weakens_params;
     Alcotest.test_case "obs events and counters" `Quick test_obs_events_and_counters;
     Alcotest.test_case "flat json parses verdicts" `Quick test_flat_json_parses_verdicts;
-    Alcotest.test_case "flat json rejects garbage" `Quick test_flat_json_rejects_garbage;
-    Alcotest.test_case "flat json unescapes" `Quick test_flat_json_escapes;
-    QCheck_alcotest.to_alcotest prop_flat_json_roundtrip;
     Alcotest.test_case "report renders" `Quick test_report_renders;
     Alcotest.test_case "report rejects garbage" `Quick test_report_rejects_garbage;
   ]

@@ -484,6 +484,78 @@ let test_frontier_artifact_roundtrip () =
         | Ok fr' -> Orchestrate.frontier_lines fr' = lines
         | Error _ -> false))
 
+(* --- artifact-reader fuzz ----------------------------------------------- *)
+
+(* Real artifacts (a campaign with shrunk violations, and a frontier)
+   with one line truncated, byte-flipped or given an extra byte, fed to
+   every reader: each must answer Ok or Error and never raise. *)
+let fuzz_fixtures =
+  lazy
+    (let campaign =
+       unsharded_lines ~jobs:1
+         (Campaign.spec
+            ~grid:{ Campaign.default_grid with Campaign.topologies = [ "ring" ] }
+            ~trials:8 ~seed:4 ~shrink_budget:5 ())
+     in
+     match Orchestrate.frontier { r_frontier_spec with Orchestrate.tolerance = Time.ms 95 } with
+     | Ok fr -> [| campaign; Orchestrate.frontier_lines fr |]
+     | Error m -> Alcotest.failf "frontier failed: %s" m)
+
+let prop_artifact_readers_never_raise =
+  let gen =
+    let open QCheck.Gen in
+    let byte =
+      oneof
+        [
+          map Char.chr (int_bound 255);
+          oneofl (List.of_seq (String.to_seq "\"\\{}[],:-+.0123456789eEu ntf"));
+        ]
+    in
+    let edit = pair (int_bound 4) (pair nat byte) in
+    quad (int_bound 1) nat (list_size (int_range 1 3) edit) bool
+  in
+  let print (which, line, edits, both) =
+    Printf.sprintf "artifact %d, line %d, edits [%s], with original %b" which line
+      (String.concat "; "
+         (List.map (fun (kind, (at, c)) -> Printf.sprintf "%d@%d:%C" kind at c) edits))
+      both
+  in
+  let mutate l (kind, (at, c)) =
+    let n = String.length l in
+    if n = 0 then String.make 1 c
+    else
+      let at = at mod n in
+      match kind with
+      | 0 -> String.sub l 0 at (* truncate *)
+      | 1 -> String.sub l 0 at ^ String.make 1 c ^ String.sub l at (n - at) (* insert *)
+      | _ -> String.mapi (fun i x -> if i = at then c else x) l (* flip *)
+  in
+  QCheck.Test.make ~name:"artifact readers never raise on corrupt lines" ~count:400
+    (QCheck.make ~print gen) (fun (which, line, edits, both) ->
+      let lines = (Lazy.force fuzz_fixtures).(which) in
+      let target = line mod List.length lines in
+      let corrupt =
+        List.mapi (fun i l -> if i = target then List.fold_left mutate l edits else l) lines
+      in
+      let readers =
+        [
+          ("Json.parse", fun () -> ignore (Json.parse (List.nth corrupt target)));
+          ("parse_artifact", fun () -> ignore (Orchestrate.parse_artifact corrupt));
+          ( "combine",
+            fun () ->
+              ignore (Orchestrate.combine (if both then [ corrupt; lines ] else [ corrupt ])) );
+          ("render_report", fun () -> ignore (Campaign.render_report corrupt));
+          ("render_frontier", fun () -> ignore (Orchestrate.render_frontier corrupt));
+        ]
+      in
+      List.for_all
+        (fun (name, read) ->
+          match read () with
+          | () -> true
+          | exception e ->
+            QCheck.Test.fail_reportf "%s raised %s" name (Printexc.to_string e))
+        readers)
+
 let suite =
   [
     Alcotest.test_case "shard_of_string" `Quick test_shard_of_string;
@@ -498,6 +570,7 @@ let suite =
     Alcotest.test_case "parse tolerates a torn tail" `Quick test_parse_artifact_torn_tail;
     Alcotest.test_case "parse rejects corrupt artifacts" `Quick test_parse_artifact_rejects;
     Alcotest.test_case "combine cross-checks" `Quick test_combine_rejects;
+    QCheck_alcotest.to_alcotest prop_artifact_readers_never_raise;
     Alcotest.test_case "frontier = grid scan at <= 0.5x trials" `Quick
       test_frontier_matches_grid_scan;
     Alcotest.test_case "frontier on the f axis" `Quick test_frontier_f_axis;

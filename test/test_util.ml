@@ -83,6 +83,93 @@ let test_json_escape () =
   Alcotest.(check string)
     "escape table" "a\\\"b\\\\c\\n\\r\\t\\u0001\xc3\xa9" (Buffer.contents b)
 
+let test_json_writers () =
+  let b = Buffer.create 64 in
+  Buffer.add_char b '{';
+  Json.int b "a" (-1);
+  Json.str b "b" "x\"y";
+  Json.key b "c";
+  Buffer.add_char b '{';
+  Json.bool b "d" true;
+  Buffer.add_char b '}';
+  Json.ints b "e" [ 1; 2 ];
+  Json.ints b "f" [];
+  Buffer.add_char b '}';
+  Alcotest.(check string)
+    "commas placed" "{\"a\":-1,\"b\":\"x\\\"y\",\"c\":{\"d\":true},\"e\":[1,2],\"f\":[]}"
+    (Buffer.contents b);
+  Alcotest.(check string) "empty object" "{}" (Json.to_string [])
+
+let test_json_rejects_garbage () =
+  List.iter
+    (fun s ->
+      check_bool (Printf.sprintf "reject %S" s) true (Result.is_error (Json.parse s)))
+    [
+      "";
+      "{";
+      "{\"a\":}";
+      "{\"a\":1,}";
+      "{\"a\":1}x";
+      "[1]";
+      "{\"a\":{}}";
+      "{\"a\":1.5}";
+      "{\"a\":1e3}";
+      "{\"a\":99999999999999999999}";
+      "{\"a\":null}";
+    ]
+
+let test_json_unescapes () =
+  match Json.parse "{\"s\":\"a\\\"b\\n\\u0041\",\"n\":-3,\"b\":true}" with
+  | Error m -> Alcotest.failf "parse: %s" m
+  | Ok fields ->
+    check_bool "string unescaped" true (Json.get_str fields "s" = Some "a\"b\nA");
+    check_bool "negative int" true (Json.get_int fields "n" = Some (-3));
+    check_bool "bool" true (Json.get_bool fields "b" = Some true);
+    check_bool "accessors check the type" true
+      (Json.get_str fields "n" = None && Json.get_int fields "missing" = None)
+
+(* Encode -> parse -> re-encode is the identity on arbitrary field
+   lists, byte for byte. Strings exercise the full escape table
+   (quotes, backslashes, control bytes, high bytes pass through raw). *)
+let prop_json_roundtrip =
+  let gen =
+    let open QCheck.Gen in
+    let any_char = map Char.chr (int_bound 255) in
+    let any_string = string_size ~gen:any_char (int_bound 12) in
+    let value =
+      oneof
+        [
+          map (fun i -> Json.Int i) int;
+          map (fun b -> Json.Bool b) bool;
+          map (fun s -> Json.Str s) any_string;
+        ]
+    in
+    list_size (int_bound 8) (pair any_string value)
+  in
+  let print fields =
+    String.concat ";"
+      (List.map
+         (fun (k, v) ->
+           Printf.sprintf "%S=%s" k
+             (match v with
+             | Json.Str s -> Printf.sprintf "Str %S" s
+             | Json.Int i -> Printf.sprintf "Int %d" i
+             | Json.Bool b -> Printf.sprintf "Bool %b" b))
+         fields)
+  in
+  QCheck.Test.make ~name:"flat json encode/parse round-trip" ~count:300
+    (QCheck.make ~print gen) (fun fields ->
+      let line = Json.to_string fields in
+      match Json.parse line with
+      | Error m -> QCheck.Test.fail_reportf "unparseable %S: %s" line m
+      | Ok back ->
+        if back <> fields then
+          QCheck.Test.fail_reportf "fields changed: %s <> %s" (print back) (print fields)
+        else if Json.to_string back <> line then
+          QCheck.Test.fail_reportf "re-encode not byte-identical: %S <> %S"
+            (Json.to_string back) line
+        else true)
+
 (* Stats *)
 
 let test_stats_summary () =
@@ -146,6 +233,10 @@ let suite =
     ("rng sample", `Quick, test_rng_sample);
     ("rng gaussian", `Slow, test_rng_gaussian);
     ("json escape", `Quick, test_json_escape);
+    ("json member writers", `Quick, test_json_writers);
+    ("flat json rejects garbage", `Quick, test_json_rejects_garbage);
+    ("flat json unescapes", `Quick, test_json_unescapes);
+    QCheck_alcotest.to_alcotest prop_json_roundtrip;
     ("stats summary", `Quick, test_stats_summary);
     ("stats percentile", `Quick, test_stats_percentile);
     ("stats histogram", `Quick, test_stats_histogram);
