@@ -34,12 +34,21 @@ let run ?json_file () =
            (Domain.recommended_domain_count ()))
       ~header:[ "jobs"; "seconds"; "trials/sec"; "speedup"; "fingerprint" ]
   in
+  (* Minor words are counted per domain, so only the jobs = 1 run, which
+     executes every trial on this domain, yields words per trial. Unlike
+     wall-clock, the count is deterministic for a given build: CI gates
+     it against a committed ceiling. *)
+  let words_per_trial = ref 0 in
   let rows =
     List.map
       (fun jobs ->
+        let w0 = Gc.minor_words () in
         let t0 = now () in
         let result = Campaign.run ~jobs spec in
         let dt = now () -. t0 in
+        if jobs = 1 then
+          words_per_trial :=
+            int_of_float (((Gc.minor_words () -. w0) /. float_of_int trials) +. 0.5);
         (jobs, dt, Campaign.fingerprint result))
       (jobs_axis ())
   in
@@ -61,6 +70,7 @@ let run ?json_file () =
         ])
     rows;
   Table.print table;
+  Printf.printf "jobs=1 allocation: %d minor words/trial\n" !words_per_trial;
   (match fingerprints with
   | [ _ ] -> print_endline "fingerprints identical across worker counts: OK"
   | _ -> print_endline "FINGERPRINT MISMATCH ACROSS WORKER COUNTS");
@@ -143,12 +153,14 @@ let run ?json_file () =
     List.iter
       (fun (jobs, dt, fp) ->
         Printf.fprintf oc
-          "{\"jobs\":%d,\"millis\":%d,\"trials_per_sec_x10\":%d,\"speedup_x100\":%d,\"fingerprint\":\"%s\"}\n"
+          "{\"jobs\":%d,\"millis\":%d,\"trials_per_sec_x10\":%d,\"speedup_x100\":%d,\"fingerprint\":\"%s\"%s}\n"
           jobs
           (int_of_float ((dt *. 1000.0) +. 0.5))
           (int_of_float ((float_of_int trials /. dt *. 10.0) +. 0.5))
           (int_of_float ((base /. dt *. 100.0) +. 0.5))
-          fp)
+          fp
+          (if jobs = 1 then Printf.sprintf ",\"words_per_trial\":%d" !words_per_trial
+           else ""))
       rows;
     Printf.fprintf oc
       "{\"bench\":\"frontier_vs_grid\",\"grid_trials\":%d,\"frontier_trials\":%d,\"boundary_match\":%b}\n"

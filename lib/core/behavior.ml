@@ -1,6 +1,6 @@
 module Task = Btr_workload.Task
 module Graph = Btr_workload.Graph
-module Auth = Btr_crypto.Auth
+module Fnv = Btr_util.Fnv
 
 type input = { orig_flow : int; value : float array }
 type fn = period:int -> inputs:input list -> float array option
@@ -38,10 +38,14 @@ let counter_source tid ~period ~inputs:_ =
 
 let constant_source v ~period:_ ~inputs:_ = Some (Array.copy v)
 
+(* FNV-1a of the values as [%h;] hex floats, one after another. *)
 let value_digest v =
-  let buf = Buffer.create 32 in
-  Array.iter (fun x -> Buffer.add_string buf (Printf.sprintf "%h;" x)) v;
-  Auth.digest (Buffer.contents buf)
+  let h = Fnv.create () in
+  for i = 0 to Array.length v - 1 do
+    Fnv.add_hex_float h (Array.unsafe_get v i);
+    Fnv.add_char h ';'
+  done;
+  Fnv.value h
 
 let equal_value a b =
   Array.length a = Array.length b

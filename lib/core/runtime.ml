@@ -47,10 +47,237 @@ type msg =
 
 type entry = { value : float array; digest : int64; arrived : Time.t; from : int }
 
+(* ------------------------------------------------------------------ *)
+(* Compiled modes                                                       *)
+
+(* A plan compiled once into the tables that task execution, message
+   admission and period boundaries index, so no event scans the plan's
+   assignment or augmentation lists. Built when the plan first governs
+   a node, kept by the runtime that built it, and never mutated. *)
+
+type producer = {
+  p_flow : int;
+  p_orig_flow : int;
+  p_lane : int;
+  p_ack : (int * Task.id * int) option;
+      (* where a consumer acknowledges this flow's value: the producing
+         task's checker's node, original task and lane — [None] when
+         the producer is unprotected or its checker unassigned *)
+}
+
+type consumer = { c_flow : int; c_node : int; c_size : int; c_to_checker : bool }
+
+type task_info = {
+  orig : Task.id;
+  role : Augment.role;
+  kind : Task.kind;
+  producers : producer array;
+      (* incoming flows that have an original flow, by flow id *)
+  by_orig : producer array array;
+      (* [producers] grouped by original flow (ascending), each group by
+         lane; an augmentation has at most one flow per (original flow,
+         lane), so no two members of a group share a lane *)
+  has_producers : bool;  (* any incoming flow, with an origin or not *)
+  required : int;  (* original flows fed by an assigned producer *)
+  consumers : consumer array;  (* outgoing flows to assigned consumers *)
+  lanes : lane array;  (* checkers: the lanes to replay, by lane *)
+  shed_here : int array;
+      (* sinks: the workload's sink flows into this sink that the mode
+         does not carry *)
+}
+
+and lane = { l_info : task_info; l_lane : int; l_node : int; l_digest_flow : int }
+
+type expectation = { x_flow : int; x_from : int; x_start : Time.t }
+type slot = { finish : Time.t; task : Task.id; info : task_info }
+
+type mode = {
+  plan : Planner.plan;
+  flow_lo : int;
+  flow_src : int option array;
+      (* [flow - flow_lo]: the node assigned to the flow's producer *)
+  expects : expectation array array;
+      (* per node position: remote-produced flows it consumes, with
+         the consumer's window start, in flow order *)
+  slots : slot array array;  (* per node position: its schedule *)
+  uncarried : int array;  (* workload sink flows no lane of this mode carries *)
+}
+
+let compile_mode ~workload ~node_ids (plan : Planner.plan) =
+  let aug = plan.Planner.aug in
+  let g = aug.Augment.graph in
+  let node_of = Hashtbl.create 64 in
+  List.iter (fun (tid, node) -> Hashtbl.replace node_of tid node) plan.Planner.assignment;
+  let assigned tid = Hashtbl.find_opt node_of tid in
+  let sink_flows = Graph.sink_flows workload in
+  let producer (fl : Graph.flow) =
+    match Augment.orig_flow_of aug fl.flow_id with
+    | None -> None
+    | Some (orig_flow, lane) ->
+      let orig = Augment.orig_of aug fl.producer in
+      let ack =
+        if not (Augment.is_protected aug orig) then None
+        else
+          match Augment.checker_of aug orig with
+          | None -> None
+          | Some checker -> (
+            match assigned checker with
+            | Some node -> Some (node, orig, Augment.lane_of aug fl.producer)
+            | None -> None)
+      in
+      Some { p_flow = fl.flow_id; p_orig_flow = orig_flow; p_lane = lane; p_ack = ack }
+  in
+  let info_of (x : Task.t) ~lanes =
+    let incoming = Graph.producers_of g x.id in
+    let producers = List.filter_map producer incoming in
+    let origs = List.sort_uniq Int.compare (List.map (fun p -> p.p_orig_flow) producers) in
+    let by_orig =
+      List.map
+        (fun o ->
+          List.filter (fun p -> p.p_orig_flow = o) producers
+          |> List.stable_sort (fun a b -> Int.compare a.p_lane b.p_lane)
+          |> Array.of_list)
+        origs
+    in
+    let required =
+      List.length
+        (List.sort_uniq Int.compare
+           (List.filter_map
+              (fun (fl : Graph.flow) ->
+                match assigned fl.producer with
+                | Some _ -> Option.map fst (Augment.orig_flow_of aug fl.flow_id)
+                | None -> None)
+              incoming))
+    in
+    let consumers =
+      List.filter_map
+        (fun (fl : Graph.flow) ->
+          match assigned fl.consumer with
+          | None -> None
+          | Some c_node ->
+            let c_to_checker =
+              match Augment.role_of aug fl.consumer with
+              | Augment.Checker _ -> true
+              | Augment.Original | Augment.Replica _ | Augment.Guard _ -> false
+            in
+            Some { c_flow = fl.flow_id; c_node; c_size = fl.msg_size; c_to_checker })
+        (Graph.consumers_of g x.id)
+    in
+    let orig = Augment.orig_of aug x.id in
+    let shed_here =
+      if x.kind <> Task.Sink then []
+      else
+        List.filter_map
+          (fun (fl : Graph.flow) ->
+            if fl.consumer = orig && not (List.mem fl.flow_id origs) then Some fl.flow_id
+            else None)
+          sink_flows
+    in
+    {
+      orig;
+      role = Augment.role_of aug x.id;
+      kind = x.kind;
+      producers = Array.of_list producers;
+      by_orig = Array.of_list by_orig;
+      has_producers = incoming <> [];
+      required;
+      consumers = Array.of_list consumers;
+      lanes;
+      shed_here = Array.of_list shed_here;
+    }
+  in
+  (* Lanes are replicas, never checkers, so a first pass without lanes
+     gives every lane its final table. *)
+  let infos = Hashtbl.create 64 in
+  List.iter
+    (fun (x : Task.t) -> Hashtbl.replace infos x.id (info_of x ~lanes:[||]))
+    (Graph.tasks g);
+  List.iter
+    (fun (x : Task.t) ->
+      match Augment.role_of aug x.id with
+      | Augment.Checker { orig } ->
+        let lanes =
+          List.filter_map
+            (fun lane_tid ->
+              match assigned lane_tid with
+              | None -> None
+              | Some l_node -> (
+                (* The digest flow from this lane to the checker. *)
+                match
+                  List.find_opt
+                    (fun (fl : Graph.flow) -> fl.producer = lane_tid)
+                    (Graph.producers_of g x.id)
+                with
+                | None -> None
+                | Some fl ->
+                  Some
+                    {
+                      l_info = Hashtbl.find infos lane_tid;
+                      l_lane = Augment.lane_of aug lane_tid;
+                      l_node;
+                      l_digest_flow = fl.flow_id;
+                    }))
+            (Augment.replicas_of aug orig)
+        in
+        Hashtbl.replace infos x.id (info_of x ~lanes:(Array.of_list lanes))
+      | Augment.Original | Augment.Replica _ | Augment.Guard _ -> ())
+    (Graph.tasks g);
+  let flows = Graph.flows g in
+  let ids = List.map (fun (fl : Graph.flow) -> fl.flow_id) flows in
+  let flow_lo = List.fold_left Stdlib.min 0 ids in
+  let flow_src =
+    Array.make (1 + List.fold_left Stdlib.max flow_lo ids - flow_lo) None
+  in
+  List.iter
+    (fun (fl : Graph.flow) -> flow_src.(fl.flow_id - flow_lo) <- assigned fl.producer)
+    flows;
+  let expects_of id =
+    List.filter_map
+      (fun (fl : Graph.flow) ->
+        match assigned fl.consumer, assigned fl.producer with
+        | Some cn, Some pn when cn = id && pn <> id -> (
+          match Schedule.window plan.Planner.schedule fl.consumer with
+          | Some (start, _) ->
+            Some { x_flow = fl.flow_id; x_from = pn; x_start = start }
+          | None -> None)
+        | _ -> None)
+      flows
+  in
+  let slots_of id =
+    List.map
+      (fun (s : Schedule.slot) ->
+        { finish = s.finish; task = s.task; info = Hashtbl.find infos s.task })
+      (Schedule.slots_on plan.Planner.schedule id)
+  in
+  let carried = Hashtbl.create 16 in
+  List.iter
+    (fun (_, (orig, _lane)) -> Hashtbl.replace carried orig ())
+    aug.Augment.flow_origin;
+  {
+    plan;
+    flow_lo;
+    flow_src;
+    expects = Array.map (fun id -> Array.of_list (expects_of id)) node_ids;
+    slots = Array.map (fun id -> Array.of_list (slots_of id)) node_ids;
+    uncarried =
+      Array.of_list
+        (List.filter_map
+           (fun (fl : Graph.flow) ->
+             if Hashtbl.mem carried fl.flow_id then None else Some fl.flow_id)
+           sink_flows);
+  }
+
+(* The node assigned to produce [flow] in this mode, if the mode has
+   that flow. *)
+let flow_source m flow =
+  let i = flow - m.flow_lo in
+  if i < 0 || i >= Array.length m.flow_src then None else m.flow_src.(i)
+
 type node = {
   id : int;
+  pos : int;  (* position in ascending node-id order *)
   secret : Auth.secret;
-  mutable plan : Planner.plan;
+  mutable mode : mode;
   mutable pending : Planner.plan option;
   mutable pending_waited : int;
   mutable awaiting_state : Task.id list;
@@ -90,6 +317,8 @@ type t = {
   golden : Golden.t;
   metrics : Metrics.t;
   nodes : (int, node) Hashtbl.t;
+  ordered : node array;  (* ascending id: the order of all per-node work *)
+  mutable modes : mode list;  (* compiled so far; looked up by plan identity *)
   script : Fault.script;
   actuators :
     (int, period:int -> value:float array -> at:Time.t -> unit) Hashtbl.t;
@@ -111,7 +340,7 @@ let node_of t id =
   | None -> invalid_arg (Printf.sprintf "Runtime: unknown node %d" id)
 
 let node_fault_nodes t id = Modeswitch.Fault_set.nodes (node_of t id).fault_set
-let node_mode t id = (node_of t id).plan.Planner.faulty
+let node_mode t id = (node_of t id).mode.plan.Planner.faulty
 let evidence_seen t id = Evidence.Distributor.seen (node_of t id).dist
 let mode_changes t = List.rev t.rev_mode_changes
 
@@ -153,14 +382,19 @@ let create ?(config = default_config) ?(behaviors = []) ?(script = []) ?obs
       (Planner.config strategy).Planner.detection_margin
       (Time.div (Graph.period (Planner.workload strategy)) 10)
   in
+  let node_ids = Array.of_list (List.sort Int.compare (Topology.nodes topo)) in
+  let pos = Hashtbl.create 16 in
+  Array.iteri (fun i id -> Hashtbl.replace pos id i) node_ids;
+  let initial = compile_mode ~workload ~node_ids initial in
   let nodes = Hashtbl.create 16 in
   List.iter
     (fun id ->
       Hashtbl.replace nodes id
         {
           id;
+          pos = Hashtbl.find pos id;
           secret = Auth.gen_key auth ~owner:id;
-          plan = initial;
+          mode = initial;
           pending = None;
           pending_waited = 0;
           awaiting_state = [];
@@ -211,6 +445,8 @@ let create ?(config = default_config) ?(behaviors = []) ?(script = []) ?obs
        in
        Metrics.create ~obs ~protected_flows workload);
     nodes;
+    ordered = Array.map (Hashtbl.find nodes) node_ids;
+    modes = [ initial ];
     script;
     actuators = Hashtbl.create 8;
     rev_mode_changes = [];
@@ -218,27 +454,30 @@ let create ?(config = default_config) ?(behaviors = []) ?(script = []) ?obs
     started = false;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Helpers on plans                                                     *)
-
-let assignment_node plan tid = Planner.assignment_of plan tid
-
-let flow_in_plan (plan : Planner.plan) fid =
-  match Graph.flow plan.Planner.aug.Augment.graph fid with
-  | f -> Some f
-  | exception Invalid_argument _ -> None
+(* The compiled form of [plan], compiled on first use. *)
+let mode_of t plan =
+  match List.find_opt (fun m -> m.plan == plan) t.modes with
+  | Some m -> m
+  | None ->
+    let m =
+      compile_mode ~workload:(Planner.workload t.strategy)
+        ~node_ids:(Array.map (fun n -> n.id) t.ordered)
+        plan
+    in
+    t.modes <- m :: t.modes;
+    m
 
 (* The correct nodes' union of attributed faults; routing steers around
    them once evidence has spread (§4.4: the new plan avoids them). *)
 let refresh_route_avoid t =
   let avoid = Hashtbl.create 8 in
-  Table.sorted_iter ~cmp:Int.compare
-    (fun _ n ->
+  Array.iter
+    (fun n ->
       if n.byz = None then
         List.iter
           (fun x -> Hashtbl.replace avoid x ())
           (Modeswitch.Fault_set.nodes n.fault_set))
-    t.nodes;
+    t.ordered;
   Net.set_route_avoid t.net (Table.sorted_keys ~cmp:Int.compare avoid)
 
 (* ------------------------------------------------------------------ *)
@@ -249,14 +488,9 @@ let refresh_route_avoid t =
    validate-endorse-forward scheme of §4.3; [already_sent] bounds it. *)
 let flood_record t (n : node) r =
   if n.running then
-    List.iter
-      (fun dst ->
-        if dst <> n.id && not (Evidence.Distributor.already_sent n.dist r ~dst)
-        then
-          ignore
-            (Net.send t.net ~src:n.id ~dst ~cls:Net.Control
-               ~size_bytes:(Evidence.size_bytes r) (Ev r)))
-      (Topology.nodes t.topo)
+    Evidence.Distributor.forward n.dist r ~dsts:(Topology.nodes t.topo)
+      (fun ~dst ~size_bytes ->
+        ignore (Net.send t.net ~src:n.id ~dst ~cls:Net.Control ~size_bytes (Ev r)))
 
 (* Consult the strategy for the plan matching the node's fault set and
    stage a transition to it (§4.4). State for migrating tasks is
@@ -266,7 +500,7 @@ let maybe_switch_mode t (n : node) =
   let target_faulty =
     Modeswitch.Fault_set.target n.fault_set ~f:(Planner.config t.strategy).Planner.f
   in
-  let current_key = n.plan.Planner.faulty in
+  let current_key = n.mode.plan.Planner.faulty in
   let staged_key =
     match n.pending with Some p -> p.Planner.faulty | None -> current_key
   in
@@ -274,7 +508,7 @@ let maybe_switch_mode t (n : node) =
     match Planner.plan_for t.strategy ~faulty:target_faulty with
     | None -> () (* beyond the f bound: keep the best plan we have *)
     | Some next ->
-      let actions = Modeswitch.diff ~node:n.id ~from_plan:n.plan ~to_plan:next in
+      let actions = Modeswitch.diff ~node:n.id ~from_plan:n.mode.plan ~to_plan:next in
       let awaiting = ref [] in
       List.iter
         (fun action ->
@@ -375,9 +609,7 @@ let emit_evidence t (n : node) (s : Evidence.statement) =
         (Obs.Evidence_emitted
            {
              accused = Evidence.accused_name s.Evidence.accused;
-             fault_class =
-               Format.asprintf "%a" Evidence.pp_fault_class
-                 s.Evidence.fault_class;
+             fault_class = Evidence.fault_class_name s.Evidence.fault_class;
              period = s.Evidence.period;
            });
     ignore
@@ -452,35 +684,32 @@ let byz_outgoing (n : node) ~to_checker ~dst value =
     else Some (mutate_value value, Time.zero)
   | Some (Fault.Babble _) -> Some (value, Time.zero)
 
+(* The first of [candidates] (one original flow's lanes, lowest lane
+   first) with an entry in [inbox] for the period. *)
+let first_present inbox candidates period =
+  let rec go i =
+    if i = Array.length candidates then None
+    else
+      let p = candidates.(i) in
+      match Hashtbl.find_opt inbox (p.p_flow, period) with
+      | Some e -> Some (p, e)
+      | None -> go (i + 1)
+  in
+  go 0
+
 (* Collect this task's inputs for the period. An unreplicated consumer
    of a replicated producer receives one copy per lane; semantically
    those are the same original flow, so keep only the lowest live lane
    (same fallback rule the sinks use) — a behaviour must see exactly one
-   input per original flow, like the golden executor does. *)
-let gather_inputs (n : node) plan tid period =
-  let aug = plan.Planner.aug in
-  let present =
-    List.filter_map
-      (fun (fl : Graph.flow) ->
-        match Hashtbl.find_opt n.inbox (fl.flow_id, period) with
-        | None -> None
-        | Some e -> (
-          match Augment.orig_flow_of aug fl.flow_id with
-          | Some (orig_flow, lane) -> Some (lane, orig_flow, fl, e)
-          | None -> None))
-      (Graph.producers_of aug.Augment.graph tid)
-  in
-  let best = Hashtbl.create 8 in
-  List.iter
-    (fun (lane, orig_flow, fl, e) ->
-      match Hashtbl.find_opt best orig_flow with
-      | Some (l, _, _) when l <= lane -> ()
-      | _ -> Hashtbl.replace best orig_flow (lane, fl, e))
-    present;
-  Table.sorted_fold ~cmp:Int.compare
-    (fun orig_flow (_, fl, e) acc ->
-      (fl, e, { Behavior.orig_flow; value = e.value }) :: acc)
-    best []
+   input per original flow, like the golden executor does. The result
+   runs from the highest original flow down. *)
+let gather_inputs (n : node) info period =
+  Array.fold_left
+    (fun acc group ->
+      match first_present n.inbox group period with
+      | Some pe -> pe :: acc
+      | None -> acc)
+    [] info.by_orig
 
 (* Send one data message; payload digests let checkers and consumers
    cross-validate without re-sending full values. *)
@@ -501,40 +730,24 @@ let send_data t (n : node) ~flow ~period ~dst_node ~size ~to_checker value =
 (* Acknowledge a received input to the producer's checker so that
    equivocation (clean digest to the checker, garbage to consumers)
    is detectable. *)
-let send_ack t (n : node) plan ~producer_aug ~period (e : entry) =
-  let aug = plan.Planner.aug in
-  let orig = Augment.orig_of aug producer_aug in
-  if Augment.is_protected aug orig then
-    match Augment.checker_of aug orig with
-    | None -> ()
-    | Some checker_tid -> (
-      match assignment_node plan checker_tid with
-      | Some checker_node ->
-        ignore
-          (Net.send t.net ~src:n.id ~dst:checker_node ~cls:Net.Control
-             ~size_bytes:48
-             (Ack
-                {
-                  orig_task = orig;
-                  lane = Augment.lane_of aug producer_aug;
-                  period;
-                  digest = e.digest;
-                }))
-      | None -> ())
+let send_ack t (n : node) (p : producer) ~period (e : entry) =
+  match p.p_ack with
+  | None -> ()
+  | Some (checker_node, orig_task, lane) ->
+    ignore
+      (Net.send t.net ~src:n.id ~dst:checker_node ~cls:Net.Control ~size_bytes:48
+         (Ack { orig_task; lane; period; digest = e.digest }))
 
-let run_compute_task t (n : node) plan tid period =
-  let aug = plan.Planner.aug in
-  let g = aug.Augment.graph in
-  let task = Graph.task g tid in
-  let gathered = gather_inputs n plan tid period in
-  let inputs = List.map (fun (_, _, i) -> i) gathered in
+let run_compute_task t (n : node) tid info period =
+  let gathered = gather_inputs n info period in
+  let inputs =
+    List.map
+      (fun (p, e) -> { Behavior.orig_flow = p.p_orig_flow; value = e.value })
+      gathered
+  in
   (* Cross-report received inputs to the producers' checkers. *)
-  List.iter
-    (fun ((fl : Graph.flow), e, _) ->
-      send_ack t n plan ~producer_aug:fl.producer ~period e)
-    gathered;
-  let orig = Augment.orig_of aug tid in
-  let behavior = Behavior.find t.behaviors orig in
+  List.iter (fun (p, e) -> send_ack t n p ~period e) gathered;
+  let behavior = Behavior.find t.behaviors info.orig in
   (* A lane missing any of its expected original input flows abstains
      rather than computing from partial inputs: a partial result would
      be *wrong* yet match the checker's replay of the same partial
@@ -542,236 +755,144 @@ let run_compute_task t (n : node) plan tid period =
      downstream watchdogs stay quiet and suspicion stays pinned at the
      first hop; the sink falls back to an intact sibling lane. *)
   let missing_required =
-    task.Task.kind = Task.Compute
-    &&
-    let required =
-      List.sort_uniq Int.compare
-        (List.filter_map
-           (fun (fl : Graph.flow) ->
-             match assignment_node plan fl.producer with
-             | Some _ -> Option.map fst (Augment.orig_flow_of aug fl.flow_id)
-             | None -> None)
-           (Graph.producers_of g tid))
-    in
-    let got =
-      List.sort_uniq Int.compare
-        (List.filter_map
-           (fun ((fl : Graph.flow), _, _) ->
-             Option.map fst (Augment.orig_flow_of aug fl.flow_id))
-           gathered)
-    in
-    List.length got < List.length required
+    info.kind = Task.Compute && List.length gathered < info.required
   in
   let output =
-    if task.Task.kind = Task.Source then behavior ~period ~inputs
-    else if inputs = [] && Graph.producers_of g tid <> [] then None
+    if info.kind = Task.Source then behavior ~period ~inputs
+    else if inputs = [] && info.has_producers then None
     else if missing_required then None
     else behavior ~period ~inputs
   in
-  let send_nacks () =
-    if byz_outgoing n ~to_checker:false ~dst:(-1) [||] <> None then
-      List.iter
-        (fun (fl : Graph.flow) ->
-          match assignment_node plan fl.consumer with
-          | None -> ()
-          | Some dst_node ->
-            ignore
-              (Net.send t.net ~src:n.id ~dst:dst_node ~cls:Net.Data
-                 ~size_bytes:16
-                 (Nack { flow = fl.flow_id; period })))
-        (Graph.consumers_of g tid)
-  in
   match output with
-  | None -> send_nacks ()
+  | None ->
+    if byz_outgoing n ~to_checker:false ~dst:(-1) [||] <> None then
+      Array.iter
+        (fun c ->
+          ignore
+            (Net.send t.net ~src:n.id ~dst:c.c_node ~cls:Net.Data ~size_bytes:16
+               (Nack { flow = c.c_flow; period })))
+        info.consumers
   | Some value ->
     Authlog.append n.authlog
       (Authlog.Executed
          { task = tid; period; output_digest = Behavior.value_digest value });
     (* Physical sources define the reference inputs: record what was
        actually emitted (after any Byzantine mutation of this node). *)
-    (if task.Task.kind = Task.Source then
+    (if info.kind = Task.Source then
        match byz_outgoing n ~to_checker:false ~dst:(-1) value with
-       | Some (v, _) -> Golden.note_source t.golden ~task:orig ~period v
+       | Some (v, _) -> Golden.note_source t.golden ~task:info.orig ~period v
        | None -> ());
-    List.iter
-      (fun (fl : Graph.flow) ->
-        match assignment_node plan fl.consumer with
-        | None -> ()
-        | Some dst_node ->
-          let to_checker =
-            match Augment.role_of aug fl.consumer with
-            | Augment.Checker _ -> true
-            | Augment.Original | Augment.Replica _ | Augment.Guard _ -> false
-          in
-          send_data t n ~flow:fl.flow_id ~period ~dst_node ~size:fl.msg_size
-            ~to_checker value)
-      (Graph.consumers_of g tid)
+    Array.iter
+      (fun c ->
+        send_data t n ~flow:c.c_flow ~period ~dst_node:c.c_node ~size:c.c_size
+          ~to_checker:c.c_to_checker value)
+      info.consumers
+
+(* How many distinct original flows [entries] cover. *)
+let distinct_orig_flows entries =
+  let rec go seen = function
+    | [] -> List.length seen
+    | (o, _) :: rest -> go (if List.mem o seen then seen else o :: seen) rest
+  in
+  go [] entries
 
 (* Checker (§4.2): replay each lane's output from the inputs that lane
    actually received (carried alongside the digest in a real system;
    read from the lane's inbox in the simulation) and accuse on
    mismatch. Also compare last period's consumer acknowledgements
    against the digest the lane claimed, to catch equivocation. *)
-let run_checker t (n : node) plan tid period =
-  let aug = plan.Planner.aug in
-  let g = aug.Augment.graph in
-  let orig = Augment.orig_of aug tid in
+let run_checker t (n : node) info period =
+  let orig = info.orig in
   let behavior = Behavior.find t.behaviors orig in
-  let lanes = Augment.replicas_of aug orig in
-  List.iter
-    (fun lane_tid ->
-      let lane = Augment.lane_of aug lane_tid in
-      match assignment_node plan lane_tid with
-      | None -> ()
-      | Some lane_node -> (
-        (* The digest flow from this lane to us. *)
-        let digest_flow =
-          List.find_opt
-            (fun (fl : Graph.flow) -> fl.producer = lane_tid)
-            (Graph.producers_of g tid)
-        in
-        match digest_flow with
+  Array.iter
+    (fun l ->
+      let lane = l.l_lane and lane_node = l.l_node in
+      (match Hashtbl.find_opt n.inbox (l.l_digest_flow, period) with
+      | None -> () (* the watchdog reports the omission *)
+      | Some claimed -> (
+        match Hashtbl.find_opt t.nodes lane_node with
         | None -> ()
-        | Some fl -> (
-          (match Hashtbl.find_opt n.inbox (fl.flow_id, period) with
-          | None -> () (* the watchdog reports the omission *)
-          | Some claimed -> (
-            match Hashtbl.find_opt t.nodes lane_node with
-            | None -> ()
-            | Some lane_host ->
-              let lane_entries =
-                List.filter_map
-                  (fun (lf : Graph.flow) ->
-                    match Hashtbl.find_opt lane_host.inbox (lf.flow_id, period) with
-                    | Some e -> (
-                      match Augment.orig_flow_of aug lf.flow_id with
-                      | Some (orig_flow, _) -> Some (orig_flow, e.value)
-                      | None -> None)
-                    | None -> None)
-                  (Graph.producers_of g lane_tid)
-              in
-              let lane_inputs =
-                List.map
-                  (fun (orig_flow, value) -> { Behavior.orig_flow; value })
-                  lane_entries
-              in
-              (* Mirror of the lane's abstention rule: replay must
-                 predict silence exactly when the lane was entitled to
-                 abstain, so a lane that *computed* from partial inputs
-                 is caught (expected = None, it sent anyway) and an
-                 abstaining lane is not accused. *)
-              let lane_missing_required =
-                let lane_required =
-                  List.sort_uniq Int.compare
-                    (List.filter_map
-                       (fun (lf : Graph.flow) ->
-                         match assignment_node plan lf.producer with
-                         | Some _ ->
-                           Option.map fst (Augment.orig_flow_of aug lf.flow_id)
-                         | None -> None)
-                       (Graph.producers_of g lane_tid))
-                in
-                let lane_got =
-                  List.sort_uniq Int.compare (List.map fst lane_entries)
-                in
-                List.length lane_got < List.length lane_required
-              in
-              let expected =
-                if
-                  (Graph.task g lane_tid).Task.kind = Task.Compute
-                  && ((lane_inputs = [] && Graph.producers_of g lane_tid <> [])
-                     || lane_missing_required)
-                then None
-                else behavior ~period ~inputs:lane_inputs
-              in
-              let ok =
-                match expected with
-                | None -> false (* it sent although replay says silence *)
-                | Some v ->
-                  Int64.equal (Behavior.value_digest v) claimed.digest
-              in
-              if Obs.enabled t.obs then
-                Obs.emit t.obs ~at:(Engine.now t.eng) ~node:n.id Obs.Detect
-                  (Obs.Checker_replay { task = orig; lane; period; ok });
-              if not ok then
-                emit_evidence t n
-                  (statement t n ~accused:(Evidence.Node lane_node)
-                     ~fault_class:Evidence.Wrong_value ~period
-                     ~detail:
-                       (Printf.sprintf "task %d lane %d replay mismatch" orig lane))));
-          (* Equivocation check for the previous period — only when that
-             period already ran under the current plan, so the digest
-             flow id means the same thing it meant then. *)
-          if period > 0 && period - 1 >= n.plan_since then
-            let prev = period - 1 in
-            match Hashtbl.find_opt n.inbox (fl.flow_id, prev) with
-            | None -> ()
-            | Some claimed -> (
-              match Hashtbl.find_opt n.acks (orig, lane, prev) with
-              | None -> ()
-              | Some digests ->
-                if List.exists (fun d -> not (Int64.equal d claimed.digest)) !digests
-                then
-                  emit_evidence t n
-                    (statement t n ~accused:(Evidence.Node lane_node)
-                       ~fault_class:Evidence.Equivocation ~period:prev
-                       ~detail:
-                         (Printf.sprintf "task %d lane %d equivocated" orig lane))))))
-    lanes
+        | Some lane_host ->
+          let lane_entries =
+            Array.fold_right
+              (fun p acc ->
+                match Hashtbl.find_opt lane_host.inbox (p.p_flow, period) with
+                | Some e -> (p.p_orig_flow, e.value) :: acc
+                | None -> acc)
+              l.l_info.producers []
+          in
+          let lane_inputs =
+            List.map
+              (fun (orig_flow, value) -> { Behavior.orig_flow; value })
+              lane_entries
+          in
+          (* Mirror of the lane's abstention rule: replay must
+             predict silence exactly when the lane was entitled to
+             abstain, so a lane that *computed* from partial inputs
+             is caught (expected = None, it sent anyway) and an
+             abstaining lane is not accused. *)
+          let lane_missing_required =
+            distinct_orig_flows lane_entries < l.l_info.required
+          in
+          let expected =
+            if
+              l.l_info.kind = Task.Compute
+              && ((lane_inputs = [] && l.l_info.has_producers) || lane_missing_required)
+            then None
+            else behavior ~period ~inputs:lane_inputs
+          in
+          let ok =
+            match expected with
+            | None -> false (* it sent although replay says silence *)
+            | Some v -> Int64.equal (Behavior.value_digest v) claimed.digest
+          in
+          if Obs.enabled t.obs then
+            Obs.emit t.obs ~at:(Engine.now t.eng) ~node:n.id Obs.Detect
+              (Obs.Checker_replay { task = orig; lane; period; ok });
+          if not ok then
+            emit_evidence t n
+              (statement t n ~accused:(Evidence.Node lane_node)
+                 ~fault_class:Evidence.Wrong_value ~period
+                 ~detail:(Printf.sprintf "task %d lane %d replay mismatch" orig lane))));
+      (* Equivocation check for the previous period — only when that
+         period already ran under the current plan, so the digest
+         flow id means the same thing it meant then. *)
+      if period > 0 && period - 1 >= n.plan_since then
+        let prev = period - 1 in
+        match Hashtbl.find_opt n.inbox (l.l_digest_flow, prev) with
+        | None -> ()
+        | Some claimed -> (
+          match Hashtbl.find_opt n.acks (orig, lane, prev) with
+          | None -> ()
+          | Some digests ->
+            if List.exists (fun d -> not (Int64.equal d claimed.digest)) !digests then
+              emit_evidence t n
+                (statement t n ~accused:(Evidence.Node lane_node)
+                   ~fault_class:Evidence.Equivocation ~period:prev
+                   ~detail:(Printf.sprintf "task %d lane %d equivocated" orig lane))))
+    info.lanes
 
 (* The sink acts on the primary lane's value, or the lowest live backup
    lane (§1: use some replicas without waiting for the others). *)
-let run_sink t (n : node) plan tid period =
-  let aug = plan.Planner.aug in
-  let g = aug.Augment.graph in
-  (* Group this sink's incoming flows by original flow. *)
-  let groups = Hashtbl.create 8 in
-  List.iter
-    (fun (fl : Graph.flow) ->
-      match Augment.orig_flow_of aug fl.flow_id with
-      | Some (orig_flow, lane) ->
-        let l =
-          match Hashtbl.find_opt groups orig_flow with
-          | Some l -> l
-          | None ->
-            let l = ref [] in
-            Hashtbl.replace groups orig_flow l;
-            l
-        in
-        l := (lane, fl) :: !l
-      | None -> ())
-    (Graph.producers_of g tid);
+let run_sink t (n : node) info period =
   (* Every original sink flow of the full workload that this sink owns
      but the current mode does not carry has been shed (or lost). *)
-  List.iter
-    (fun (fl : Graph.flow) ->
-      if fl.consumer = Augment.orig_of aug tid && not (Hashtbl.mem groups fl.flow_id)
-      then Metrics.record_shed t.metrics ~orig_flow:fl.flow_id ~period)
-    (Graph.sink_flows (Planner.workload t.strategy));
-  Table.sorted_iter ~cmp:Int.compare
-    (fun orig_flow lanes ->
-      let candidates =
-        List.sort (fun (a, _) (b, _) -> Int.compare a b) !lanes
-      in
-      let chosen =
-        List.find_map
-          (fun (lane, (fl : Graph.flow)) ->
-            match Hashtbl.find_opt n.inbox (fl.flow_id, period) with
-            | Some e ->
-              send_ack t n plan ~producer_aug:fl.producer ~period e;
-              Some (lane, e)
-            | None -> None)
-          candidates
-      in
-      match chosen with
+  Array.iter
+    (fun orig_flow -> Metrics.record_shed t.metrics ~orig_flow ~period)
+    info.shed_here;
+  Array.iter
+    (fun group ->
+      match first_present n.inbox group period with
       | None -> ()
-      | Some (lane, e) ->
+      | Some (p, e) ->
+        send_ack t n p ~period e;
+        let orig_flow = p.p_orig_flow in
         Metrics.record_delivery t.metrics ~orig_flow ~period ~value:e.value
-          ~arrived:e.arrived ~lane;
+          ~arrived:e.arrived ~lane:p.p_lane;
         (match Hashtbl.find_opt t.actuators orig_flow with
         | Some act -> act ~period ~value:e.value ~at:(Engine.now t.eng)
         | None -> ()))
-    groups
+    info.by_orig
 
 let role_name = function
   | Augment.Original -> "original"
@@ -779,24 +900,17 @@ let role_name = function
   | Augment.Checker _ -> "checker"
   | Augment.Guard _ -> "guard"
 
-let exec_task t (n : node) plan tid period =
-  if n.running && n.plan == plan then begin
-    let role = Augment.role_of plan.Planner.aug tid in
+let exec_task t (n : node) mode tid info period =
+  if n.running && n.mode == mode then begin
     if Obs.enabled t.obs then
       Obs.emit t.obs ~at:(Engine.now t.eng) ~node:n.id Obs.Runtime
-        (Obs.Lane_exec
-           {
-             task = Augment.orig_of plan.Planner.aug tid;
-             period;
-             role = role_name role;
-           });
-    match role with
+        (Obs.Lane_exec { task = info.orig; period; role = role_name info.role });
+    match info.role with
     | Augment.Guard _ -> ()
-    | Augment.Checker _ -> run_checker t n plan tid period
+    | Augment.Checker _ -> run_checker t n info period
     | Augment.Original | Augment.Replica _ ->
-      let task = Graph.task plan.Planner.aug.Augment.graph tid in
-      if task.Task.kind = Task.Sink then run_sink t n plan tid period
-      else run_compute_task t n plan tid period
+      if info.kind = Task.Sink then run_sink t n info period
+      else run_compute_task t n tid info period
   end
 
 (* ------------------------------------------------------------------ *)
@@ -806,12 +920,7 @@ let exec_task t (n : node) plan tid period =
    one to send that flow; during a transition senders briefly disagree,
    which is the §4.4 "confusion" BTR tolerates. *)
 let data_admissible (n : node) ~src ~flow =
-  match flow_in_plan n.plan flow with
-  | None -> false
-  | Some fl -> (
-    match assignment_node n.plan fl.producer with
-    | Some expected -> expected = src
-    | None -> false)
+  match flow_source n.mode flow with Some expected -> expected = src | None -> false
 
 let on_receive t (n : node) (r : msg Net.recv) =
   if n.running then
@@ -873,77 +982,71 @@ let on_receive t (n : node) (r : msg Net.recv) =
 (* Period boundaries                                                    *)
 
 let install_expectations t (n : node) period =
-  let plan = n.plan in
-  let aug = plan.Planner.aug in
   let base = Time.mul t.period_len period in
-  List.iter
-    (fun (fl : Graph.flow) ->
-      match assignment_node plan fl.consumer, assignment_node plan fl.producer with
-      | Some cn, Some pn when cn = n.id && pn <> n.id -> (
-        match Schedule.window plan.Planner.schedule fl.consumer with
-        | Some (start, _) ->
-          Detect.Watchdog.expect n.watchdog ~flow:fl.flow_id ~period
-            ~from_node:pn ~deadline:(Time.add base start)
-        | None -> ())
-      | _ -> ())
-    (Graph.flows aug.Augment.graph)
+  Array.iter
+    (fun x ->
+      Detect.Watchdog.expect n.watchdog ~flow:x.x_flow ~period ~from_node:x.x_from
+        ~deadline:(Time.add base x.x_start))
+    n.mode.expects.(n.pos)
 
 let install_slots t (n : node) period =
-  let plan = n.plan in
+  let mode = n.mode in
   let base = Time.mul t.period_len period in
-  List.iter
-    (fun (s : Schedule.slot) ->
+  Array.iter
+    (fun s ->
       ignore
         (Engine.schedule t.eng ~at:(Time.add base s.finish) (fun _ ->
-             exec_task t n plan s.task period)))
-    (Schedule.slots_on plan.Planner.schedule n.id)
+             exec_task t n mode s.task s.info period)))
+    mode.slots.(n.pos)
 
 let sweep_watchdog t (n : node) =
-  let misses = Detect.Watchdog.sweep n.watchdog ~now:(Engine.now t.eng) in
-  let suspected_this_sweep = Hashtbl.create 4 in
-  List.iter
-    (fun (m : Detect.Watchdog.miss) ->
-      let from_node = m.Detect.Watchdog.miss_from in
-      if
-        Time.compare (Engine.now t.eng) n.grace_until >= 0
-        && not (Modeswitch.Fault_set.mem_path n.fault_set (from_node, n.id))
-      then
-        if m.Detect.Watchdog.declared then
-          emit_evidence t n
-            (statement t n
-               ~accused:(Evidence.path from_node n.id)
-               ~fault_class:Evidence.Omission ~period:m.Detect.Watchdog.miss_period
-               ~detail:
-                 (Printf.sprintf "flow %d never arrived"
-                    m.Detect.Watchdog.miss_flow))
-        else if not (Hashtbl.mem suspected_this_sweep from_node) then begin
-          (* Sub-threshold account: not enough for a declaration on this
-             watcher alone, but f other watchers may be seeing the same
-             silence — publish a suspicion for corroboration, once per
-             sender per sweep. *)
-          Hashtbl.replace suspected_this_sweep from_node ();
-          Obs.Counter.incr
-            (Obs.Registry.counter (Obs.registry t.obs) Obs.Detect
-               "watchdog-suspect");
-          if Obs.enabled t.obs then
-            Obs.emit t.obs ~at:(Engine.now t.eng) ~node:n.id Obs.Detect
-              (Obs.Watchdog_suspect
-                 {
-                   flow = m.Detect.Watchdog.miss_flow;
-                   period = m.Detect.Watchdog.miss_period;
-                   from_node;
-                   account = m.Detect.Watchdog.account;
-                 });
-          emit_evidence t n
-            (statement t n
-               ~accused:(Evidence.path from_node n.id)
-               ~fault_class:Evidence.Omission_suspected
-               ~period:m.Detect.Watchdog.miss_period
-               ~detail:
-                 (Printf.sprintf "flow %d missing, strike %d"
-                    m.Detect.Watchdog.miss_flow m.Detect.Watchdog.account))
-        end)
-    misses
+  match Detect.Watchdog.sweep n.watchdog ~now:(Engine.now t.eng) with
+  | [] -> ()
+  | misses ->
+    let suspected_this_sweep = Hashtbl.create 4 in
+    List.iter
+      (fun (m : Detect.Watchdog.miss) ->
+        let from_node = m.Detect.Watchdog.miss_from in
+        if
+          Time.compare (Engine.now t.eng) n.grace_until >= 0
+          && not (Modeswitch.Fault_set.mem_path n.fault_set (from_node, n.id))
+        then
+          if m.Detect.Watchdog.declared then
+            emit_evidence t n
+              (statement t n
+                 ~accused:(Evidence.path from_node n.id)
+                 ~fault_class:Evidence.Omission ~period:m.Detect.Watchdog.miss_period
+                 ~detail:
+                   (Printf.sprintf "flow %d never arrived"
+                      m.Detect.Watchdog.miss_flow))
+          else if not (Hashtbl.mem suspected_this_sweep from_node) then begin
+            (* Sub-threshold account: not enough for a declaration on this
+               watcher alone, but f other watchers may be seeing the same
+               silence — publish a suspicion for corroboration, once per
+               sender per sweep. *)
+            Hashtbl.replace suspected_this_sweep from_node ();
+            Obs.Counter.incr
+              (Obs.Registry.counter (Obs.registry t.obs) Obs.Detect
+                 "watchdog-suspect");
+            if Obs.enabled t.obs then
+              Obs.emit t.obs ~at:(Engine.now t.eng) ~node:n.id Obs.Detect
+                (Obs.Watchdog_suspect
+                   {
+                     flow = m.Detect.Watchdog.miss_flow;
+                     period = m.Detect.Watchdog.miss_period;
+                     from_node;
+                     account = m.Detect.Watchdog.account;
+                   });
+            emit_evidence t n
+              (statement t n
+                 ~accused:(Evidence.path from_node n.id)
+                 ~fault_class:Evidence.Omission_suspected
+                 ~period:m.Detect.Watchdog.miss_period
+                 ~detail:
+                   (Printf.sprintf "flow %d missing, strike %d"
+                      m.Detect.Watchdog.miss_flow m.Detect.Watchdog.account))
+          end)
+      misses
 
 let activate_pending t (n : node) =
   match n.pending with
@@ -954,7 +1057,7 @@ let activate_pending t (n : node) =
       || n.pending_waited >= t.config.state_wait_boundaries
     in
     if ready then begin
-      n.plan <- next;
+      n.mode <- mode_of t next;
       n.pending <- None;
       n.pending_waited <- 0;
       n.awaiting_state <- [];
@@ -986,12 +1089,11 @@ let babble t (n : node) period =
           tag = Auth.forge_tag ();
         }
       in
+      let size_bytes = Evidence.size_bytes bogus in
       List.iter
         (fun dst ->
           if dst <> n.id then
-            ignore
-              (Net.send t.net ~src:n.id ~dst ~cls:Net.Control
-                 ~size_bytes:(Evidence.size_bytes bogus) (Ev bogus)))
+            ignore (Net.send t.net ~src:n.id ~dst ~cls:Net.Control ~size_bytes (Ev bogus)))
         (Topology.nodes t.topo)
     done
   | _ -> ()
@@ -1004,51 +1106,39 @@ let mark_uncarried_shed t period =
   (* Sorted traversal: ties between equally-advanced plans must break
      the same way every run. *)
   let reference =
-    Table.sorted_fold ~cmp:Int.compare
-      (fun _ n best ->
+    Array.fold_left
+      (fun best n ->
         if not n.running then best
         else
           match best with
           | Some b
-            when List.length b.Planner.faulty
-                 >= List.length n.plan.Planner.faulty ->
+            when List.length b.plan.Planner.faulty
+                 >= List.length n.mode.plan.Planner.faulty ->
             best
-          | _ -> Some n.plan)
-      t.nodes None
+          | _ -> Some n.mode)
+      None t.ordered
   in
   match reference with
   | None -> ()
-  | Some plan ->
-    let carried = Hashtbl.create 16 in
-    List.iter
-      (fun (fid, (orig, _lane)) ->
-        ignore fid;
-        Hashtbl.replace carried orig ())
-      plan.Planner.aug.Augment.flow_origin;
-    List.iter
-      (fun (fl : Graph.flow) ->
-        if not (Hashtbl.mem carried fl.flow_id) then
-          Metrics.record_shed t.metrics ~orig_flow:fl.flow_id ~period)
-      (Graph.sink_flows (Planner.workload t.strategy))
+  | Some mode ->
+    Array.iter
+      (fun orig_flow -> Metrics.record_shed t.metrics ~orig_flow ~period)
+      mode.uncarried
 
 let boundary t period =
   (* Node order here fixes the order of watchdog sweeps, plan
      activations and checkpoint signing — all trace-visible. *)
-  Table.sorted_iter ~cmp:Int.compare
-    (fun _ n -> if n.running then sweep_watchdog t n)
-    t.nodes;
+  Array.iter (fun n -> if n.running then sweep_watchdog t n) t.ordered;
   (* Judge the finished period under the plans that actually governed
      it, before anyone activates a pending plan for the next one. *)
   if period > 0 then begin
     mark_uncarried_shed t (period - 1);
     Metrics.finalize_period t.metrics ~golden:t.golden ~period:(period - 1)
   end;
-  Table.sorted_iter ~cmp:Int.compare
-    (fun _ n -> if n.running then activate_pending t n)
-    t.nodes;
+  Array.iter (fun n -> if n.running then activate_pending t n) t.ordered;
   if period < t.total_periods then
-    Table.sorted_iter ~cmp:Int.compare
-      (fun _ n ->
+    Array.iter
+      (fun n ->
         if n.running then begin
           (* Commit the log before entering the new period: the guard
              task's CPU reservation covers checkpoint signing (§4.1). *)
@@ -1057,7 +1147,7 @@ let boundary t period =
           install_slots t n period;
           babble t n period
         end)
-      t.nodes
+      t.ordered
 
 (* ------------------------------------------------------------------ *)
 (* Fault script and run loop                                            *)
@@ -1083,9 +1173,7 @@ let run t ~horizon =
   if t.started then invalid_arg "Runtime.run: already ran";
   t.started <- true;
   t.total_periods <- horizon / t.period_len;
-  Table.sorted_iter ~cmp:Int.compare
-    (fun id n -> Net.set_handler t.net id (on_receive t n))
-    t.nodes;
+  Array.iter (fun n -> Net.set_handler t.net n.id (on_receive t n)) t.ordered;
   List.iter
     (fun (ev : Fault.event) ->
       ignore (Engine.schedule t.eng ~at:ev.Fault.at (fun _ -> apply_script_event t ev)))

@@ -1,18 +1,6 @@
 open Btr_util
 
-let fnv_offset = 0xCBF29CE484222325L
-let fnv_prime = 0x100000001B3L
-
-let digest_into acc s =
-  let h = ref acc in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h fnv_prime)
-    s;
-  !h
-
-let digest s = digest_into fnv_offset s
+let digest = Fnv.hash64
 
 type secret = { owner : int; key : int64 }
 type tag = { signer : int; value : int64 }
@@ -34,21 +22,26 @@ let gen_key t ~owner =
 
 let owner_of_secret s = s.owner
 
-let mac key msg =
+let mac key feed =
   (* Keyed digest: mix the key into both ends so extension attacks on the
      toy digest cannot matter even in principle. *)
   let open Int64 in
-  let inner = digest_into (logxor fnv_offset key) msg in
-  mul (logxor inner (shift_right_logical key 17)) fnv_prime
+  let h = Fnv.create () in
+  Fnv.reset h (logxor Fnv.offset key);
+  feed h;
+  mul (logxor (Fnv.value h) (shift_right_logical key 17)) Fnv.prime
 
-let sign _t secret msg = { signer = secret.owner; value = mac secret.key msg }
+let sign_with _t secret feed = { signer = secret.owner; value = mac secret.key feed }
+let sign t secret msg = sign_with t secret (fun h -> Fnv.add_string h msg)
 
-let verify t ~signer msg tag =
+let verify_with t ~signer feed tag =
   tag.signer = signer
   &&
   match Hashtbl.find_opt t.keys signer with
   | None -> false
-  | Some key -> Int64.equal (mac key msg) tag.value
+  | Some key -> Int64.equal (mac key feed) tag.value
+
+let verify t ~signer msg tag = verify_with t ~signer (fun h -> Fnv.add_string h msg) tag
 
 let sign_cost t = t.costs.sign_cost
 let verify_cost t = t.costs.verify_cost
@@ -60,7 +53,14 @@ let forge_tag () = { signer = -1; value = 0xDEADBEEFL }
 module Chain = struct
   type link = int64
 
-  let genesis = fnv_offset
-  let extend prev record = digest_into (Int64.add prev 1L) record
+  let genesis = Fnv.offset
+  let start h prev = Fnv.reset h (Int64.add prev 1L)
+
+  let extend prev record =
+    let h = Fnv.create () in
+    start h prev;
+    Fnv.add_string h record;
+    Fnv.value h
+
   let of_records records = List.fold_left extend genesis records
 end

@@ -46,6 +46,13 @@ val verify : t -> signer:int -> string -> tag -> bool
 (** [verify] is [false] for unknown signers rather than raising: a
     Byzantine node may well claim a nonexistent identity. *)
 
+val sign_with : t -> secret -> (Fnv.t -> unit) -> tag
+val verify_with : t -> signer:int -> (Fnv.t -> unit) -> tag -> bool
+(** {!sign} / {!verify} over the bytes the function feeds into the
+    hasher, for callers that format a message straight into the hash
+    instead of building the string: [sign_with t k (fun h ->
+    Fnv.add_string h m)] is [sign t k m]. *)
+
 val sign_cost : t -> Time.t
 val verify_cost : t -> Time.t
 
@@ -59,8 +66,8 @@ val forge_tag : unit -> tag
     MACs also have — the simulation treats it as zero). *)
 
 val digest : string -> int64
-(** FNV-1a 64-bit content digest, used for hash chains and replica
-    output comparison. *)
+(** FNV-1a 64-bit content digest ({!Btr_util.Fnv.hash64}), used for
+    hash chains and replica output comparison. *)
 
 (** Tamper-evident logs: each record's digest covers its predecessor,
     as in PeerReview-style evidence logs. *)
@@ -68,6 +75,11 @@ module Chain : sig
   type link = int64
 
   val genesis : link
+
+  val start : Fnv.t -> link -> unit
+  (** Seed the hasher for the link after [prev]; feeding it a record's
+      bytes then leaves {!extend}[ prev record] as its value. *)
+
   val extend : link -> string -> link
   val of_records : string list -> link
 end

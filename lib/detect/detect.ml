@@ -8,7 +8,14 @@ let path_statement_admissible (s : Evidence.statement) =
   | Evidence.Node _ -> true
 
 module Watchdog = struct
-  type expectation = { from_node : int; deadline : Time.t; mutable met : bool }
+  type expectation = {
+    flow : int;
+    period : int;
+    from_node : int;
+    deadline : Time.t;
+    mutable met : bool;
+  }
+
   type late = { flow : int; period : int; from_node : int; lateness : Time.t }
 
   type miss = {
@@ -28,6 +35,12 @@ module Watchdog = struct
     missing_count : Obs.Counter.t;
     reset_count : Obs.Counter.t;
     table : (int * int, expectation) Hashtbl.t;
+    (* The expectations not yet met, in no particular order: a superset
+       of them, since arrivals only flip [met] and the next sweep drops
+       the met ones. Sweeps look at these alone, so their cost follows
+       what is outstanding, not everything ever expected. *)
+    mutable unmet : expectation list;
+    mutable unmet_count : int;
     (* Per-sender strike account, shared across every watcher path from
        that sender to this node. Bumped at most once per sweep, reset on
        a timely arrival — so only a sustained per-sender outage (not
@@ -47,6 +60,8 @@ module Watchdog = struct
       missing_count = Obs.Registry.counter reg Obs.Detect "watchdog-missing";
       reset_count = Obs.Registry.counter reg Obs.Detect "strike-resets";
       table = Hashtbl.create 64;
+      unmet = [];
+      unmet_count = 0;
       accounts = Hashtbl.create 16;
     }
 
@@ -54,14 +69,24 @@ module Watchdog = struct
     Option.value ~default:0 (Hashtbl.find_opt t.accounts from_node)
 
   let expect t ~flow ~period ~from_node ~deadline =
-    if not (Hashtbl.mem t.table (flow, period)) then
-      Hashtbl.replace t.table (flow, period) { from_node; deadline; met = false }
+    if not (Hashtbl.mem t.table (flow, period)) then begin
+      let e = { flow; period; from_node; deadline; met = false } in
+      Hashtbl.replace t.table (flow, period) e;
+      t.unmet <- e :: t.unmet;
+      t.unmet_count <- t.unmet_count + 1
+    end
+
+  let mark_met t e =
+    if not e.met then begin
+      e.met <- true;
+      t.unmet_count <- t.unmet_count - 1
+    end
 
   let note_arrival t ~flow ~period ~at =
     match Hashtbl.find_opt t.table (flow, period) with
     | None -> None
     | Some e ->
-      e.met <- true;
+      mark_met t e;
       let limit = Time.add e.deadline t.margin in
       if Time.compare at limit > 0 then begin
         let lateness = Time.sub at limit in
@@ -82,24 +107,27 @@ module Watchdog = struct
         None
       end
 
-  let cmp_flow_period (f1, p1) (f2, p2) =
-    match Int.compare f1 f2 with 0 -> Int.compare p1 p2 | c -> c
+  let cmp_flow_period (a : expectation) (b : expectation) =
+    match Int.compare a.flow b.flow with 0 -> Int.compare a.period b.period | c -> c
 
   let sweep t ~now =
-    (* Sorted traversal: the report order feeds evidence emission and
-       the telemetry trace, so it must not depend on insertion order. *)
-    let due =
-      List.filter
-        (fun ((_ : int * int), (e : expectation)) ->
-          (not e.met) && Time.compare now (Time.add e.deadline t.margin) > 0)
-        (Table.sorted_bindings ~cmp:cmp_flow_period t.table)
-    in
+    let due = ref [] and outstanding = ref [] in
+    List.iter
+      (fun (e : expectation) ->
+        if e.met then ()
+        else if Time.compare now (Time.add e.deadline t.margin) > 0 then due := e :: !due
+        else outstanding := e :: !outstanding)
+      t.unmet;
+    t.unmet <- !outstanding;
+    (* Sorted: the report order feeds evidence emission and the
+       telemetry trace, so it must not depend on insertion order. *)
+    let due = List.sort cmp_flow_period !due in
     (* Bump each sender's account at most once per sweep, no matter how
        many of its flows are overdue: detection latency then depends on
        sustained periods of silence, not on watcher fan-in. *)
     let bumped = Hashtbl.create 4 in
     List.iter
-      (fun (_, (e : expectation)) ->
+      (fun (e : expectation) ->
         if not (Hashtbl.mem bumped e.from_node) then begin
           Hashtbl.replace bumped e.from_node ();
           Hashtbl.replace t.accounts e.from_node
@@ -107,19 +135,20 @@ module Watchdog = struct
         end)
       due;
     List.map
-      (fun ((flow, period), e) ->
-        e.met <- true;
+      (fun (e : expectation) ->
+        mark_met t e;
         let n = account t ~from_node:e.from_node in
         let declared = n >= t.strikes in
         if declared then begin
           Obs.Counter.incr t.missing_count;
           if Obs.enabled t.obs then
             Obs.emit t.obs ~at:now ~node:t.node Obs.Detect
-              (Obs.Watchdog_missing { flow; period; from_node = e.from_node })
+              (Obs.Watchdog_missing
+                 { flow = e.flow; period = e.period; from_node = e.from_node })
         end;
         {
-          miss_flow = flow;
-          miss_period = period;
+          miss_flow = e.flow;
+          miss_period = e.period;
           miss_from = e.from_node;
           account = n;
           declared;
@@ -133,10 +162,7 @@ module Watchdog = struct
         else None)
       (sweep t ~now)
 
-  let pending t =
-    Table.sorted_fold ~cmp:cmp_flow_period
-      (fun _ e acc -> if e.met then acc else acc + 1)
-      t.table 0
+  let pending t = t.unmet_count
 end
 
 module Attribution = struct

@@ -94,6 +94,8 @@ module Watchdog : sig
   (** Current strike account for a sender (0 if never missed). *)
 
   val pending : t -> int
+  (** Expectations registered and not yet met (by an arrival or by a
+      sweep reporting them). *)
 end
 
 module Attribution : sig

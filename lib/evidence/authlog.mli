@@ -18,8 +18,11 @@ type entry =
   | Received of { flow : int; period : int; digest : int64; from_node : int }
   | Executed of { task : int; period : int; output_digest : int64 }
 
-val encode_entry : entry -> string
-(** Canonical, injective encoding (covered by the hash chain). *)
+(** The hash chain covers each entry's canonical, injective encoding:
+    [S|flow|period|digest], [R|flow|period|digest|from_node] or
+    [E|task|period|output_digest], integers in decimal and digests in
+    unpadded lowercase hex. Entries are hashed without building that
+    string. *)
 
 type t
 

@@ -10,23 +10,23 @@ type fault_class =
   | Equivocation
   | Forged_evidence
 
-let pp_fault_class ppf c =
-  Format.pp_print_string ppf
-    (match c with
-    | Wrong_value -> "wrong-value"
-    | Omission -> "omission"
-    | Omission_suspected -> "omission-suspected"
-    | Timing -> "timing"
-    | Equivocation -> "equivocation"
-    | Forged_evidence -> "forged-evidence")
+let fault_class_name = function
+  | Wrong_value -> "wrong-value"
+  | Omission -> "omission"
+  | Omission_suspected -> "omission-suspected"
+  | Timing -> "timing"
+  | Equivocation -> "equivocation"
+  | Forged_evidence -> "forged-evidence"
+
+let pp_fault_class ppf c = Format.pp_print_string ppf (fault_class_name c)
 
 type accused = Node of int | Path of int * int
 
 let path a b = if a <= b then Path (a, b) else Path (b, a)
 
 let accused_name = function
-  | Node n -> Printf.sprintf "node:%d" n
-  | Path (a, b) -> Printf.sprintf "path:%d-%d" a b
+  | Node n -> "node:" ^ string_of_int n
+  | Path (a, b) -> "path:" ^ string_of_int a ^ "-" ^ string_of_int b
 
 type statement = {
   accused : accused;
@@ -38,9 +38,15 @@ type statement = {
 }
 
 let encode s =
-  Printf.sprintf "%s|%s|det:%d|p:%d|t:%d|%s" (accused_name s.accused)
-    (Format.asprintf "%a" pp_fault_class s.fault_class)
-    s.detector s.period s.detected_at s.detail
+  String.concat "|"
+    [
+      accused_name s.accused;
+      fault_class_name s.fault_class;
+      "det:" ^ string_of_int s.detector;
+      "p:" ^ string_of_int s.period;
+      "t:" ^ string_of_int s.detected_at;
+      s.detail;
+    ]
 
 type record = { statement : statement; tag : Auth.tag }
 
@@ -49,11 +55,12 @@ let sign auth secret statement =
     invalid_arg "Evidence.sign: detector must sign its own statements";
   { statement; tag = Auth.sign auth secret (encode statement) }
 
-let validate auth r =
-  Auth.verify auth ~signer:r.statement.detector (encode r.statement) r.tag
+let validate_encoded auth r encoded =
+  Auth.verify auth ~signer:r.statement.detector encoded r.tag
 
-let size_bytes r = String.length (encode r.statement) + 16
-
+let validate auth r = validate_encoded auth r (encode r.statement)
+let wire_size encoded = String.length encoded + 16
+let size_bytes r = wire_size (encode r.statement)
 let dedup_key r = encode r.statement
 
 let pp ppf r =
@@ -82,6 +89,9 @@ module Distributor = struct
     mutable rev_seen : record list;
     sent : (string * int, unit) Hashtbl.t;
     invalid_by : (int, int) Hashtbl.t;
+    mutable last_fresh : (record * string) option;
+        (* the record [admit] last found fresh, with its encoding: the
+           [forward] that follows reuses it instead of re-encoding *)
   }
 
   let create ~node ?(obs = Obs.null) () =
@@ -96,13 +106,15 @@ module Distributor = struct
       rev_seen = [];
       sent = Hashtbl.create 64;
       invalid_by = Hashtbl.create 8;
+      last_fresh = None;
     }
 
   let node t = t.node
 
   let admit ?now t auth r =
+    let k = dedup_key r in
     let verdict =
-      if not (validate auth r) then begin
+      if not (validate_encoded auth r k) then begin
         let signer = r.statement.detector in
         let prev = Option.value ~default:0 (Hashtbl.find_opt t.invalid_by signer) in
         Hashtbl.replace t.invalid_by signer (prev + 1);
@@ -110,7 +122,6 @@ module Distributor = struct
         Invalid
       end
       else begin
-        let k = dedup_key r in
         if Hashtbl.mem t.seen_keys k then begin
           Obs.Counter.incr t.dedup_count;
           Duplicate
@@ -118,6 +129,7 @@ module Distributor = struct
         else begin
           Hashtbl.replace t.seen_keys k ();
           t.rev_seen <- r :: t.rev_seen;
+          t.last_fresh <- Some (r, k);
           Obs.Counter.incr t.fresh_count;
           Fresh
         end
@@ -135,13 +147,20 @@ module Distributor = struct
     | _ -> ());
     verdict
 
-  let already_sent t r ~dst =
-    let k = (dedup_key r, dst) in
-    if Hashtbl.mem t.sent k then true
-    else begin
-      Hashtbl.replace t.sent k ();
-      false
-    end
+  let forward t r ~dsts send =
+    let k =
+      match t.last_fresh with
+      | Some (fresh, k) when fresh == r -> k
+      | Some _ | None -> dedup_key r
+    in
+    let size_bytes = wire_size k in
+    List.iter
+      (fun dst ->
+        if dst <> t.node && not (Hashtbl.mem t.sent (k, dst)) then begin
+          Hashtbl.replace t.sent (k, dst) ();
+          send ~dst ~size_bytes
+        end)
+      dsts
 
   let seen t = List.rev t.rev_seen
 

@@ -29,6 +29,9 @@ type fault_class =
   | Equivocation  (** different values for the same (flow, period) *)
   | Forged_evidence  (** signed an evidence record that fails validation *)
 
+val fault_class_name : fault_class -> string
+(** ["wrong-value"], ["omission"], ...; what {!pp_fault_class} prints. *)
+
 val pp_fault_class : Format.formatter -> fault_class -> unit
 
 type accused =
@@ -90,9 +93,13 @@ module Distributor : sig
   (** [now] timestamps the telemetry event; admission logic does not
       depend on it. *)
 
-  val already_sent : t -> record -> dst:int -> bool
-  (** Whether this node already forwarded the record to [dst]; marks it
-      sent otherwise. Keeps flooding quadratic-bounded. *)
+  val forward :
+    t -> record -> dsts:int list -> (dst:int -> size_bytes:int -> unit) -> unit
+  (** Calls [send] once for each of [dsts], in order, that is not this
+      node and has not been sent the record before, with the record's
+      wire size ({!size_bytes}); marks each as sent. Keeps flooding
+      quadratic-bounded. Called right after [admit] found the record
+      fresh, it reuses the encoding [admit] made. *)
 
   val seen : t -> record list
   (** All fresh records admitted so far, oldest first. *)

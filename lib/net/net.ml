@@ -37,6 +37,9 @@ type 'a t = {
   relay_policy : (node_id, src:node_id -> dst:node_id -> cls:cls -> bool) Hashtbl.t;
   relay_delay : (node_id, Time.t) Hashtbl.t;
   mutable route_avoid : node_id list;
+  (* src -> dst -> route under [route_avoid]; emptied whenever the
+     avoid list changes. Only ever looked up, never iterated. *)
+  routes : (node_id, (node_id, Topology.link list option) Hashtbl.t) Hashtbl.t;
   loss_rng : Rng.t;
   (* Registry counters: always on, one field write per bump. *)
   sent : Obs.Counter.t;
@@ -83,6 +86,7 @@ let create eng topo ?shares ?(residual_loss = 0.0) () =
     relay_policy = Hashtbl.create 8;
     relay_delay = Hashtbl.create 8;
     route_avoid = [];
+    routes = Hashtbl.create 16;
     loss_rng = Rng.split (Engine.rng eng);
     sent = Obs.Registry.counter reg Obs.Net "msgs-sent";
     delivered = Obs.Registry.counter reg Obs.Net "msgs-delivered";
@@ -120,7 +124,20 @@ let bytes_sent_by t n cls =
   Option.value ~default:0 (Hashtbl.find_opt t.by_sender (n, cls))
 
 let route t ~src ~dst =
-  Topology.route_avoiding t.topo ~avoid:t.route_avoid ~src ~dst
+  let from_src =
+    match Hashtbl.find t.routes src with
+    | tbl -> tbl
+    | exception Not_found ->
+      let tbl = Hashtbl.create 16 in
+      Hashtbl.replace t.routes src tbl;
+      tbl
+  in
+  match Hashtbl.find from_src dst with
+  | r -> r
+  | exception Not_found ->
+    let r = Topology.route_avoiding t.topo ~avoid:t.route_avoid ~src ~dst in
+    Hashtbl.replace from_src dst r;
+    r
 
 (* One hop: [sender] pushes the message onto [link]; when serialization
    and propagation complete, [k] runs at the far end. *)
@@ -283,7 +300,12 @@ let plan_transfer_time topo ?shares ?(avoid = []) ~cls ~src ~dst ~size_bytes () 
 
 let set_relay_policy t n p = Hashtbl.replace t.relay_policy n p
 let set_relay_delay t n d = Hashtbl.replace t.relay_delay n d
-let set_route_avoid t ns = t.route_avoid <- ns
+
+let set_route_avoid t ns =
+  if not (List.equal Int.equal ns t.route_avoid) then begin
+    t.route_avoid <- ns;
+    Hashtbl.reset t.routes
+  end
 
 type stats = {
   messages_sent : int;

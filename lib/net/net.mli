@@ -129,7 +129,14 @@ val set_relay_delay : 'a t -> node_id -> Time.t -> unit
 
 val set_route_avoid : 'a t -> node_id list -> unit
 (** Nodes that routing must no longer relay through (known-faulty set
-    after mode changes). Endpoints may still be faulty nodes. *)
+    after mode changes). Endpoints may still be faulty nodes. Routes are
+    memoised per (src, dst); a list different from the current one
+    flushes the memo, an equal one keeps it. *)
+
+val route : 'a t -> src:node_id -> dst:node_id -> Topology.link list option
+(** The route {!send} and {!transfer_time} use:
+    [Topology.route_avoiding] under the current avoid list, computed
+    once per (src, dst) until that list changes. *)
 
 (** {1 Statistics} *)
 

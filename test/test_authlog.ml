@@ -41,7 +41,18 @@ let test_encode_injective () =
   in
   check_int "distinct encodings" (List.length variants)
     (List.length
-       (List.sort_uniq String.compare (List.map Authlog.encode_entry variants)))
+       (List.sort_uniq String.compare (List.map Ref_hash.encode_entry variants)));
+  (* The chain hashes exactly those encodings, so distinct entries give
+     distinct chain links too. *)
+  check_int "distinct links" (List.length variants)
+    (List.length
+       (List.sort_uniq Int64.compare
+          (List.map
+             (fun e ->
+               let log = Authlog.create ~owner:0 in
+               Authlog.append log e;
+               Authlog.head log)
+             variants)))
 
 let test_checkpoint_sign_verify () =
   let auth, key, log = mk_log () in

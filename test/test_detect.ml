@@ -288,6 +288,70 @@ let prop_attribution_needs_threshold_distinct =
       let distinct = List.length (List.sort_uniq Int.compare others) in
       Detect.Attribution.is_attributed a 100 = (distinct >= threshold))
 
+(* Watchdog equivalence: random expect / arrival / sweep scripts against
+   the full-table reference in Ref_watchdog. Small flow, period and
+   sender ranges make repeats, duplicate arrivals, arrivals after a
+   sweep reported the message, and shared sender accounts common. *)
+
+type wd_op =
+  | Expect of int * int * int * int  (* flow, period, from_node, deadline ms *)
+  | Arrive of int * int * int  (* flow, period, at ms *)
+  | Sweep of int  (* now ms *)
+
+let print_wd_op = function
+  | Expect (f, p, n, d) -> Printf.sprintf "expect %d/%d from %d by %dms" f p n d
+  | Arrive (f, p, at) -> Printf.sprintf "arrive %d/%d at %dms" f p at
+  | Sweep now -> Printf.sprintf "sweep at %dms" now
+
+let gen_wd_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun (((f, p), n), d) -> Expect (f, p, n, d))
+              (pair (pair (pair (0 -- 5) (0 -- 4)) (0 -- 3)) (0 -- 60)));
+        (4, map (fun ((f, p), at) -> Arrive (f, p, at)) (pair (pair (0 -- 6) (0 -- 4)) (0 -- 80)));
+        (2, map (fun now -> Sweep now) (0 -- 80));
+      ])
+
+let prop_watchdog_matches_reference =
+  QCheck.Test.make ~name:"watchdog matches the full-table reference" ~count:500
+    (QCheck.make
+       ~print:(fun (strikes, ops) ->
+         Printf.sprintf "strikes %d: %s" strikes (String.concat "; " (List.map print_wd_op ops)))
+       QCheck.Gen.(pair (1 -- 3) (list_size (0 -- 60) gen_wd_op)))
+    (fun (strikes, ops) ->
+      let margin = Time.ms 2 in
+      let obs = Btr_obs.Obs.create () and ref_obs = Btr_obs.Obs.create () in
+      let w = Detect.Watchdog.create ~node:0 ~margin ~strikes ~obs () in
+      let r = Ref_watchdog.create ~margin ~strikes ~obs:ref_obs in
+      let same_accounts () =
+        List.for_all
+          (fun from_node ->
+            Detect.Watchdog.account w ~from_node = Ref_watchdog.account r ~from_node)
+          [ 0; 1; 2; 3 ]
+      in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | Expect (flow, period, from_node, d) ->
+              Detect.Watchdog.expect w ~flow ~period ~from_node ~deadline:(Time.ms d);
+              Ref_watchdog.expect r ~flow ~period ~from_node ~deadline:(Time.ms d);
+              true
+            | Arrive (flow, period, at) ->
+              Detect.Watchdog.note_arrival w ~flow ~period ~at:(Time.ms at)
+              = Ref_watchdog.note_arrival r ~flow ~period ~at:(Time.ms at)
+            | Sweep now ->
+              Detect.Watchdog.sweep w ~now:(Time.ms now)
+              = Ref_watchdog.sweep r ~now:(Time.ms now)
+          in
+          same
+          && same_accounts ()
+          && Detect.Watchdog.pending w = Ref_watchdog.pending r
+          && Btr_obs.Obs.Registry.counters (Btr_obs.Obs.registry obs)
+             = Btr_obs.Obs.Registry.counters (Btr_obs.Obs.registry ref_obs))
+        ops)
+
 let suite =
   [
     ("path admissibility", `Quick, test_path_admissibility);
@@ -312,4 +376,5 @@ let suite =
     ("attribution: deterministic order", `Quick, test_attribution_order_deterministic);
     ("attribution: counterparties first-seen", `Quick, test_attribution_counterparties_first_seen);
     QCheck_alcotest.to_alcotest prop_attribution_needs_threshold_distinct;
+    QCheck_alcotest.to_alcotest prop_watchdog_matches_reference;
   ]

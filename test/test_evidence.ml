@@ -93,10 +93,16 @@ let test_already_sent () =
   let auth, k0, _ = setup () in
   let d = Evidence.Distributor.create ~node:0 () in
   let r = Evidence.sign auth k0 (stmt ()) in
-  check_bool "first send allowed" false (Evidence.Distributor.already_sent d r ~dst:2);
-  check_bool "second send suppressed" true (Evidence.Distributor.already_sent d r ~dst:2);
-  check_bool "other destination allowed" false
-    (Evidence.Distributor.already_sent d r ~dst:3)
+  let forward dsts =
+    let sent = ref [] in
+    Evidence.Distributor.forward d r ~dsts (fun ~dst ~size_bytes ->
+        check_int "wire size" (Evidence.size_bytes r) size_bytes;
+        sent := dst :: !sent);
+    List.rev !sent
+  in
+  check_bool "first send allowed" true (forward [ 2 ] = [ 2 ]);
+  check_bool "second send suppressed" true (forward [ 2 ] = []);
+  check_bool "other destination allowed, never itself" true (forward [ 0; 2; 3 ] = [ 3 ])
 
 let test_size_positive () =
   let auth, k0, _ = setup () in

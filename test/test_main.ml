@@ -13,6 +13,7 @@ let () =
       ("plant", Test_plant.suite);
       ("evidence", Test_evidence.suite);
       ("authlog", Test_authlog.suite);
+      ("hash", Test_hash.suite);
       ("detect", Test_detect.suite);
       ("planner", Test_planner.suite);
       ("modeswitch", Test_modeswitch.suite);

@@ -220,6 +220,61 @@ let prop_ring_route_is_shortest =
       | Some path -> List.length path = expect
       | None -> false)
 
+(* Route memo: after any sequence of avoid lists, every route the
+   network uses is the one Topology.route_avoiding computes for the
+   current list, and re-setting an equal list keeps memoised routes
+   (physically the same) while a different one recomputes them. *)
+let prop_route_memo =
+  let topos =
+    [|
+      ("clique", Topology.fully_connected ~n:6 ~bandwidth_bps:1_000_000 ~latency:(Time.us 50));
+      ("ring", Topology.ring ~n:7 ~bandwidth_bps:1_000_000 ~latency:(Time.us 50));
+      ("dual-bus", Topology.dual_bus ~n:5 ~bandwidth_bps:1_000_000 ~latency:(Time.us 50));
+    |]
+  in
+  QCheck.Test.make ~name:"route memo equals route_avoiding, flushed only on change" ~count:200
+    (QCheck.make
+       ~print:(fun (ti, steps) ->
+         Printf.sprintf "%s: %s" (fst topos.(ti))
+           (String.concat " | "
+              (List.map
+                 (fun (avoid, pairs) ->
+                   Printf.sprintf "avoid [%s] probe %s"
+                     (String.concat "," (List.map string_of_int avoid))
+                     (String.concat ","
+                        (List.map (fun (a, b) -> Printf.sprintf "%d>%d" a b) pairs)))
+                 steps)))
+       QCheck.Gen.(
+         pair (0 -- 2)
+           (list_size (1 -- 8)
+              (pair (list_size (0 -- 3) (0 -- 6)) (list_size (1 -- 6) (pair (0 -- 6) (0 -- 6)))))))
+    (fun (ti, steps) ->
+      let topo = snd topos.(ti) in
+      let n = Topology.node_count topo in
+      let net = Net.create (Engine.create ()) topo () in
+      let current = ref [] in
+      List.for_all
+        (fun (avoid, pairs) ->
+          let before = !current in
+          current := avoid;
+          let probe = (0, n - 1) in
+          let kept = Net.route net ~src:(fst probe) ~dst:(snd probe) in
+          Net.set_route_avoid net avoid;
+          let equal_list = List.equal Int.equal before avoid in
+          let after = Net.route net ~src:(fst probe) ~dst:(snd probe) in
+          let memo_ok =
+            match kept with
+            | Some (_ :: _) -> Bool.equal equal_list (kept == after)
+            | Some [] | None -> true
+          in
+          memo_ok
+          && List.for_all
+               (fun (src, dst) ->
+                 let src = src mod n and dst = dst mod n in
+                 Net.route net ~src ~dst = Topology.route_avoiding topo ~avoid ~src ~dst)
+               pairs)
+        steps)
+
 let suite =
   [
     ("topology validation", `Quick, test_topology_validation);
@@ -238,4 +293,5 @@ let suite =
     ("residual loss drops messages", `Quick, test_residual_loss);
     QCheck_alcotest.to_alcotest prop_clique_routes_exist;
     QCheck_alcotest.to_alcotest prop_ring_route_is_shortest;
+    QCheck_alcotest.to_alcotest prop_route_memo;
   ]
