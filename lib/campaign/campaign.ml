@@ -1035,11 +1035,6 @@ let render_report lines =
          (tally "error"));
     (match with_key "total" with
     | s :: _ ->
-      (match Json.get_int s "cache_hits", Json.get_int s "cache_misses" with
-      | Some h, Some m ->
-        Buffer.add_string buf
-          (Printf.sprintf "plan cache: %d hits / %d misses (%d configs planned once)\n" h m m)
-      | _ -> ());
       Option.iter
         (fun fp -> Buffer.add_string buf (Printf.sprintf "fingerprint: %s\n" fp))
         (Json.get_str s "fingerprint")

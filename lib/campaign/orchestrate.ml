@@ -238,13 +238,12 @@ let rec take k = function
 let count_to reg name v =
   Obs.Counter.add (Obs.Registry.counter reg Obs.Campaign name) v
 
-let assemble ~(spec : Campaign.spec) ~configs ~spec_fp ~shard ~complete ~verdicts
+(* The one writer of campaign artifacts: header, verdicts in trial
+   order, violations, summary. *)
+let assemble ~seed ~trials ~configs ~shrink ~grid ~spec_fp ~shard ~complete ~verdicts
     ~violations =
   let verdict_lines = List.map snd verdicts in
-  let header =
-    header_line ~seed:spec.seed ~trials:spec.trials ~configs ~shrink:spec.shrink
-      ~grid:(Campaign.grid_axes spec.grid) ~spec_fp shard
-  in
+  let header = header_line ~seed ~trials ~configs ~shrink ~grid ~spec_fp shard in
   let summary = summary_line ~verdict_lines ~configs ~complete shard in
   let has_violations =
     List.exists (fun l -> verdict_name_of_line l = Some "violation") verdict_lines
@@ -333,7 +332,8 @@ let run ?obs ?jobs ?resume ?max_trials ~shard (spec : Campaign.spec) =
   let violations = sort (recorded_violations @ new_violation_lines) in
   let complete = skipped + executed = total in
   let lines, has_violations =
-    assemble ~spec ~configs ~spec_fp ~shard ~complete ~verdicts ~violations
+    assemble ~seed:spec.seed ~trials:spec.trials ~configs ~shrink:spec.shrink
+      ~grid:(Campaign.grid_axes spec.grid) ~spec_fp ~shard ~complete ~verdicts ~violations
   in
   Ok
     {
@@ -440,18 +440,10 @@ let combine inputs =
     List.sort (fun (a, _) (b, _) -> Int.compare a b)
       (List.concat_map (fun a -> a.a_violations) arts)
   in
-  let verdict_lines = List.map snd verdicts in
-  let header =
-    header_line ~seed:first.a_seed ~trials:first.a_trials ~configs:first.a_configs
-      ~shrink:first.a_shrink ~grid:first.a_grid ~spec_fp:first.a_spec_fp unsharded
-  in
-  let summary =
-    summary_line ~verdict_lines ~configs:first.a_configs ~complete:true unsharded
-  in
-  let has_violations =
-    List.exists (fun l -> verdict_name_of_line l = Some "violation") verdict_lines
-  in
-  Ok ((header :: verdict_lines) @ List.map snd violations @ [ summary ], has_violations)
+  Ok
+    (assemble ~seed:first.a_seed ~trials:first.a_trials ~configs:first.a_configs
+       ~shrink:first.a_shrink ~grid:first.a_grid ~spec_fp:first.a_spec_fp
+       ~shard:unsharded ~complete:true ~verdicts ~violations)
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive frontier search                                            *)

@@ -340,8 +340,7 @@ let data_reserve_diags v (p : Planner.plan) =
   List.iter
     (fun (fl : Graph.flow) ->
       match
-        ( List.assoc_opt fl.producer p.Planner.assignment,
-          List.assoc_opt fl.consumer p.Planner.assignment )
+        (Planner.assignment_of p fl.producer, Planner.assignment_of p fl.consumer)
       with
       | Some src, Some dst when src <> dst -> (
         match
@@ -704,12 +703,7 @@ type omission_case = {
 let omission_cut_rows v (p : Planner.plan) ~sender =
   let aug = p.Planner.aug in
   let g = aug.Augment.graph in
-  let host_idx : (Task.id, int) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (tid, n) ->
-      if not (Hashtbl.mem host_idx tid) then Hashtbl.add host_idx tid n)
-    p.Planner.assignment;
-  let host tid = Hashtbl.find_opt host_idx tid in
+  let host = Planner.assignment_of p in
   (* Live lane chains per protected original sink flow: the delivery
      hop plus the transitive producer closure behind it, all assigned
      in this mode. *)

@@ -17,22 +17,21 @@ module Obs = Btr_obs.Obs
 
 type config = {
   seed : int;
-  state_wait_boundaries : int;
-  forged_evidence_threshold : int;
   residual_loss : float;
       (* per-hop loss probability surviving FEC; the paper assumes ~0 *)
   omission_strikes : int;
       (* missing messages per path before the watchdog declares it *)
 }
 
-let default_config =
-  {
-    seed = 1;
-    state_wait_boundaries = 3;
-    forged_evidence_threshold = 3;
-    residual_loss = 0.0;
-    omission_strikes = 1;
-  }
+let default_config = { seed = 1; residual_loss = 0.0; omission_strikes = 1 }
+
+(* Period boundaries a staged plan waits for migrating state before its
+   tasks start fresh anyway. *)
+let state_wait_boundaries = 3
+
+(* Invalid evidence records from one signer before it is accused of
+   forging. *)
+let forged_evidence_threshold = 3
 
 type msg =
   | Data of { flow : int; period : int; value : float array; digest : int64 }
@@ -106,9 +105,7 @@ type mode = {
 let compile_mode ~workload ~node_ids (plan : Planner.plan) =
   let aug = plan.Planner.aug in
   let g = aug.Augment.graph in
-  let node_of = Hashtbl.create 64 in
-  List.iter (fun (tid, node) -> Hashtbl.replace node_of tid node) plan.Planner.assignment;
-  let assigned tid = Hashtbl.find_opt node_of tid in
+  let assigned = Planner.assignment_of plan in
   let sink_flows = Graph.sink_flows workload in
   let producer (fl : Graph.flow) =
     match Augment.orig_flow_of aug fl.flow_id with
@@ -202,20 +199,15 @@ let compile_mode ~workload ~node_ids (plan : Planner.plan) =
               match assigned lane_tid with
               | None -> None
               | Some l_node -> (
-                (* The digest flow from this lane to the checker. *)
-                match
-                  List.find_opt
-                    (fun (fl : Graph.flow) -> fl.producer = lane_tid)
-                    (Graph.producers_of g x.id)
-                with
+                match Augment.digest_flow_of aug lane_tid with
                 | None -> None
-                | Some fl ->
+                | Some l_digest_flow ->
                   Some
                     {
                       l_info = Hashtbl.find infos lane_tid;
                       l_lane = Augment.lane_of aug lane_tid;
                       l_node;
-                      l_digest_flow = fl.flow_id;
+                      l_digest_flow;
                     }))
             (Augment.replicas_of aug orig)
         in
@@ -249,10 +241,11 @@ let compile_mode ~workload ~node_ids (plan : Planner.plan) =
         { finish = s.finish; task = s.task; info = Hashtbl.find infos s.task })
       (Schedule.slots_on plan.Planner.schedule id)
   in
-  let carried = Hashtbl.create 16 in
-  List.iter
-    (fun (_, (orig, _lane)) -> Hashtbl.replace carried orig ())
-    aug.Augment.flow_origin;
+  let carried (fl : Graph.flow) =
+    match Augment.orig_flow_of aug fl.flow_id with
+    | Some (orig, _) -> orig = fl.flow_id
+    | None -> false
+  in
   {
     plan;
     flow_lo;
@@ -262,8 +255,7 @@ let compile_mode ~workload ~node_ids (plan : Planner.plan) =
     uncarried =
       Array.of_list
         (List.filter_map
-           (fun (fl : Graph.flow) ->
-             if Hashtbl.mem carried fl.flow_id then None else Some fl.flow_id)
+           (fun (fl : Graph.flow) -> if carried fl then None else Some fl.flow_id)
            sink_flows);
   }
 
@@ -650,7 +642,7 @@ let receive_evidence t (n : node) ~src r =
     in
     Hashtbl.replace n.invalid_by_src src count;
     if
-      count >= t.config.forged_evidence_threshold
+      count >= forged_evidence_threshold
       && not (Hashtbl.mem n.accused_forgers src)
     then begin
       Hashtbl.replace n.accused_forgers src ();
@@ -697,20 +689,6 @@ let first_present inbox candidates period =
   in
   go 0
 
-(* Collect this task's inputs for the period. An unreplicated consumer
-   of a replicated producer receives one copy per lane; semantically
-   those are the same original flow, so keep only the lowest live lane
-   (same fallback rule the sinks use) — a behaviour must see exactly one
-   input per original flow, like the golden executor does. The result
-   runs from the highest original flow down. *)
-let gather_inputs (n : node) info period =
-  Array.fold_left
-    (fun acc group ->
-      match first_present n.inbox group period with
-      | Some pe -> pe :: acc
-      | None -> acc)
-    [] info.by_orig
-
 (* Send one data message; payload digests let checkers and consumers
    cross-validate without re-sending full values. *)
 let send_data t (n : node) ~flow ~period ~dst_node ~size ~to_checker value =
@@ -738,33 +716,43 @@ let send_ack t (n : node) (p : producer) ~period (e : entry) =
       (Net.send t.net ~src:n.id ~dst:checker_node ~cls:Net.Control ~size_bytes:48
          (Ack { orig_task; lane; period; digest = e.digest }))
 
+(* What a task outputs this period given [inbox]: the one definition a
+   lane executes and its checker replays. Each original input flow
+   contributes its lowest live lane (the sinks' fallback rule), so a
+   behaviour sees exactly one input per original flow, lowest original
+   flow first, as the golden executor passes them. With [~ack], node
+   [n] cross-reports each input it takes to the producer's checker,
+   highest original flow first.
+
+   A compute task missing any of its expected original input flows
+   abstains rather than computing from partial inputs: a partial
+   result would be *wrong* yet match a replay of the same partial
+   inbox, poisoning the lane undetectably. Replay thus predicts silence
+   exactly when the lane was entitled to abstain, so a lane that
+   computed from partial inputs is caught and an abstaining lane is
+   not accused. *)
+let task_output t (n : node) ~ack info inbox period =
+  let inputs = ref [] and taken = ref 0 in
+  for i = Array.length info.by_orig - 1 downto 0 do
+    match first_present inbox info.by_orig.(i) period with
+    | None -> ()
+    | Some (p, e) ->
+      if ack then send_ack t n p ~period e;
+      inputs := { Behavior.orig_flow = p.p_orig_flow; value = e.value } :: !inputs;
+      incr taken
+  done;
+  if
+    info.kind = Task.Compute
+    && ((!taken = 0 && info.has_producers) || !taken < info.required)
+  then None
+  else Behavior.find t.behaviors info.orig ~period ~inputs:!inputs
+
 let run_compute_task t (n : node) tid info period =
-  let gathered = gather_inputs n info period in
-  let inputs =
-    List.map
-      (fun (p, e) -> { Behavior.orig_flow = p.p_orig_flow; value = e.value })
-      gathered
-  in
-  (* Cross-report received inputs to the producers' checkers. *)
-  List.iter (fun (p, e) -> send_ack t n p ~period e) gathered;
-  let behavior = Behavior.find t.behaviors info.orig in
-  (* A lane missing any of its expected original input flows abstains
-     rather than computing from partial inputs: a partial result would
-     be *wrong* yet match the checker's replay of the same partial
-     inbox, poisoning the lane undetectably. Abstention sends Nacks, so
-     downstream watchdogs stay quiet and suspicion stays pinned at the
-     first hop; the sink falls back to an intact sibling lane. *)
-  let missing_required =
-    info.kind = Task.Compute && List.length gathered < info.required
-  in
-  let output =
-    if info.kind = Task.Source then behavior ~period ~inputs
-    else if inputs = [] && info.has_producers then None
-    else if missing_required then None
-    else behavior ~period ~inputs
-  in
-  match output with
+  match task_output t n ~ack:true info n.inbox period with
   | None ->
+    (* Abstention sends Nacks, so downstream watchdogs stay quiet and
+       suspicion stays pinned at the first hop; the sink falls back to
+       an intact sibling lane. *)
     if byz_outgoing n ~to_checker:false ~dst:(-1) [||] <> None then
       Array.iter
         (fun c ->
@@ -788,14 +776,6 @@ let run_compute_task t (n : node) tid info period =
           ~to_checker:c.c_to_checker value)
       info.consumers
 
-(* How many distinct original flows [entries] cover. *)
-let distinct_orig_flows entries =
-  let rec go seen = function
-    | [] -> List.length seen
-    | (o, _) :: rest -> go (if List.mem o seen then seen else o :: seen) rest
-  in
-  go [] entries
-
 (* Checker (§4.2): replay each lane's output from the inputs that lane
    actually received (carried alongside the digest in a real system;
    read from the lane's inbox in the simulation) and accuse on
@@ -803,7 +783,6 @@ let distinct_orig_flows entries =
    against the digest the lane claimed, to catch equivocation. *)
 let run_checker t (n : node) info period =
   let orig = info.orig in
-  let behavior = Behavior.find t.behaviors orig in
   Array.iter
     (fun l ->
       let lane = l.l_lane and lane_node = l.l_node in
@@ -813,34 +792,7 @@ let run_checker t (n : node) info period =
         match Hashtbl.find_opt t.nodes lane_node with
         | None -> ()
         | Some lane_host ->
-          let lane_entries =
-            Array.fold_right
-              (fun p acc ->
-                match Hashtbl.find_opt lane_host.inbox (p.p_flow, period) with
-                | Some e -> (p.p_orig_flow, e.value) :: acc
-                | None -> acc)
-              l.l_info.producers []
-          in
-          let lane_inputs =
-            List.map
-              (fun (orig_flow, value) -> { Behavior.orig_flow; value })
-              lane_entries
-          in
-          (* Mirror of the lane's abstention rule: replay must
-             predict silence exactly when the lane was entitled to
-             abstain, so a lane that *computed* from partial inputs
-             is caught (expected = None, it sent anyway) and an
-             abstaining lane is not accused. *)
-          let lane_missing_required =
-            distinct_orig_flows lane_entries < l.l_info.required
-          in
-          let expected =
-            if
-              l.l_info.kind = Task.Compute
-              && ((lane_inputs = [] && l.l_info.has_producers) || lane_missing_required)
-            then None
-            else behavior ~period ~inputs:lane_inputs
-          in
+          let expected = task_output t n ~ack:false l.l_info lane_host.inbox period in
           let ok =
             match expected with
             | None -> false (* it sent although replay says silence *)
@@ -1054,7 +1006,7 @@ let activate_pending t (n : node) =
   | Some next ->
     let ready =
       List.for_all (Hashtbl.mem n.state_received) n.awaiting_state
-      || n.pending_waited >= t.config.state_wait_boundaries
+      || n.pending_waited >= state_wait_boundaries
     in
     if ready then begin
       n.mode <- mode_of t next;

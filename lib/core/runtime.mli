@@ -33,11 +33,6 @@ module Topology = Btr_net.Topology
 
 type config = {
   seed : int;
-  state_wait_boundaries : int;
-      (** period boundaries to wait for migrating state before starting
-          the task fresh anyway *)
-  forged_evidence_threshold : int;
-      (** invalid records from one signer before accusing it *)
   residual_loss : float;
       (** per-hop message-loss probability surviving FEC; the paper's
           model assumes this is negligible (§2.1) *)
@@ -48,8 +43,10 @@ type config = {
 }
 
 val default_config : config
-(** seed 1, wait 3 boundaries, accuse forgers after 3 invalid records,
-    no residual loss, declare on the first missing message. *)
+(** seed 1, no residual loss, declare on the first missing message.
+    Fixed for every runtime: a staged plan waits at most 3 period
+    boundaries for migrating state, and a signer of 3 invalid evidence
+    records is accused of forging. *)
 
 type t
 

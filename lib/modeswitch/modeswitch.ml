@@ -152,7 +152,6 @@ let pp_action ppf = function
 
 let diff ~node ~from_plan ~to_plan =
   let open Planner in
-  let from_assign = from_plan.assignment and to_assign = to_plan.assignment in
   let state_size tid =
     match Graph.task to_plan.aug.Augment.graph tid with
     | x -> x.Task.state_size
@@ -168,7 +167,7 @@ let diff ~node ~from_plan ~to_plan =
   List.iter
     (fun (tid, old_node) ->
       if old_node = node then
-        match List.assoc_opt tid to_assign with
+        match assignment_of to_plan tid with
         | Some new_node when new_node = node -> ()
         | Some new_node ->
           emit (Stop tid);
@@ -176,12 +175,12 @@ let diff ~node ~from_plan ~to_plan =
           if bytes > 0 && not (List.mem node to_plan.faulty) then
             emit (Send_state { task = tid; to_node = new_node; bytes })
         | None -> emit (Stop tid))
-    from_assign;
+    from_plan.assignment;
   (* Tasks arriving at this node. *)
   List.iter
     (fun (tid, new_node) ->
       if new_node = node then
-        match List.assoc_opt tid from_assign with
+        match assignment_of from_plan tid with
         | Some old_node when old_node = node -> ()
         | Some old_node ->
           let bytes = state_size tid in
@@ -189,5 +188,5 @@ let diff ~node ~from_plan ~to_plan =
             emit (Start_after_state { task = tid; from_node = old_node; bytes })
           else emit (Start_fresh tid)
         | None -> emit (Start_fresh tid))
-    to_assign;
+    to_plan.assignment;
   List.rev !actions

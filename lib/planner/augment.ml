@@ -8,16 +8,28 @@ type role =
   | Checker of { orig : Task.id }
   | Guard of { node : int }
 
-type t = {
-  graph : Graph.t;
-  original : Graph.t;
-  degree : int;
-  roles : (Task.id * role) list;
-  flow_origin : (int * (int * int)) list;  (* aug flow -> (orig flow, lane) *)
+(* Dense tables keyed by id, filled once by [augment]. Graph ids are
+   non-negative ([Graph.create]); an id past a table's end or on an
+   empty slot is unknown to the augmentation. *)
+type index = {
+  roles : role option array;  (* by augmented task id *)
+  lanes : Task.id list option array;  (* by original task id, lane order *)
+  checker : Task.id option array;  (* by original task id *)
+  digest : int option array;  (* by lane task id: its digest flow *)
+  flow_origin : (int * int) option array;  (* aug flow -> (orig flow, lane) *)
 }
 
+type t = { graph : Graph.t; original : Graph.t; degree : int; index : index }
+
+let slot a i = if i >= 0 && i < Array.length a then a.(i) else None
+
+let table size pairs =
+  let a = Array.make size None in
+  List.iter (fun (i, v) -> a.(i) <- Some v) pairs;
+  a
+
 let role_of t id =
-  match List.assoc_opt id t.roles with
+  match slot t.index.roles id with
   | Some r -> r
   | None -> invalid_arg (Printf.sprintf "Augment.role_of: unknown task %d" id)
 
@@ -31,42 +43,34 @@ let lane_of t id =
   match role_of t id with Replica { lane; _ } -> lane | Original | Checker _ | Guard _ -> 0
 
 let replicas_of t orig =
-  let lanes =
-    List.filter_map
-      (fun (id, role) ->
-        match role with
-        | Replica { orig = o; lane } when o = orig -> Some (lane, id)
-        | Replica _ | Original | Checker _ | Guard _ -> None)
-      t.roles
-  in
-  match lanes with
-  | [] -> [ orig ]
-  | _ -> List.map snd (List.sort (fun (a, _) (b, _) -> Int.compare a b) lanes)
+  match slot t.index.lanes orig with Some ids -> ids | None -> [ orig ]
 
-let checker_of t orig =
-  List.find_map
-    (fun (id, role) ->
-      match role with
-      | Checker { orig = o } when o = orig -> Some id
-      | Checker _ | Original | Replica _ | Guard _ -> None)
-    t.roles
+let checker_of t orig = slot t.index.checker orig
+
+(* Checkers and guards take fresh ids as they are created, so id order
+   is creation order. *)
+let scan_roles t pick =
+  let acc = ref [] in
+  for id = Array.length t.index.roles - 1 downto 0 do
+    match t.index.roles.(id) with
+    | Some r -> ( match pick id r with Some x -> acc := x :: !acc | None -> ())
+    | None -> ()
+  done;
+  !acc
 
 let checkers t =
-  List.filter_map
-    (fun (id, role) ->
-      match role with Checker _ -> Some id | Original | Replica _ | Guard _ -> None)
-    t.roles
+  scan_roles t (fun id -> function
+    | Checker _ -> Some id | Original | Replica _ | Guard _ -> None)
 
 let guards t =
-  List.filter_map
-    (fun (id, role) ->
-      match role with Guard { node } -> Some (id, node) | Original | Replica _ | Checker _ -> None)
-    t.roles
+  scan_roles t (fun id -> function
+    | Guard { node } -> Some (id, node) | Original | Replica _ | Checker _ -> None)
 
 let is_protected t orig =
   match replicas_of t orig with [ single ] -> single <> orig | _ -> true
 
-let orig_flow_of t fid = List.assoc_opt fid t.flow_origin
+let orig_flow_of t fid = slot t.index.flow_origin fid
+let digest_flow_of t lane = slot t.index.digest lane
 
 let digest_flow_ids t =
   List.filter_map
@@ -76,19 +80,14 @@ let digest_flow_ids t =
       | Original | Replica _ | Guard _ -> None)
     (Graph.flows t.graph)
 
-let primary_sink_flows t =
-  List.filter_map
-    (fun (f : Graph.flow) ->
-      let consumer_is_sink =
-        (Graph.task t.graph f.consumer).Task.kind = Task.Sink
-      in
-      if consumer_is_sink && lane_of t f.producer = 0 then Some f.flow_id else None)
-    (Graph.flows t.graph)
-
 let augment g ~nodes ~degree ~protect_level ~checker_overhead ~guard_wcet
     ~digest_size =
   if degree < 1 then invalid_arg "Augment.augment: degree < 1";
-  let next_task = ref (1 + List.fold_left (fun m (x : Task.t) -> Stdlib.max m x.id) 0 (Graph.tasks g)) in
+  (* Original ids lie below [originals]; fresh ids start there. *)
+  let originals =
+    1 + List.fold_left (fun m (x : Task.t) -> Stdlib.max m x.id) 0 (Graph.tasks g)
+  in
+  let next_task = ref originals in
   let next_flow =
     ref (1 + List.fold_left (fun m (f : Graph.flow) -> Stdlib.max m f.flow_id) 0 (Graph.flows g))
   in
@@ -106,36 +105,39 @@ let augment g ~nodes ~degree ~protect_level ~checker_overhead ~guard_wcet
     x.kind = Task.Compute
     && Task.compare_criticality x.criticality protect_level >= 0
   in
-  (* lane_ids.(orig) = augmented id per lane; unprotected map to self. *)
-  let lane_id : (Task.id * int, Task.id) Hashtbl.t = Hashtbl.create 64 in
   let roles = ref [] in
   let tasks = ref [] in
   let add_task x role =
     tasks := x :: !tasks;
     roles := (x.Task.id, role) :: !roles
   in
+  let lanes = ref [] in
   List.iter
     (fun (x : Task.t) ->
-      if protect x then
+      if protect x then begin
+        let ids = ref [] in
         for lane = 0 to degree - 1 do
           let id = if lane = 0 then x.id else fresh_task () in
           let name = Printf.sprintf "%s#%d" x.name lane in
           add_task { x with Task.id; name } (Replica { orig = x.id; lane });
-          Hashtbl.replace lane_id (x.id, lane) id
-        done
-      else begin
-        add_task x Original;
-        for lane = 0 to degree - 1 do
-          Hashtbl.replace lane_id (x.id, lane) x.id
-        done
-      end)
+          ids := id :: !ids
+        done;
+        lanes := (x.id, List.rev !ids) :: !lanes
+      end
+      else add_task x Original)
     (Graph.tasks g);
+  let lane_bound = !next_task in
+  let lanes = table originals !lanes in
+  (* Unprotected tasks are their own instance on every lane. *)
+  let lane_id orig lane =
+    match lanes.(orig) with Some ids -> List.nth ids lane | None -> orig
+  in
   (* Flows: lane-wise wiring. A flow between two tasks becomes one flow
      per lane between the corresponding lane instances; where an
      endpoint is unreplicated all lanes share it, and duplicate edges
      (unreplicated -> unreplicated) collapse back to one flow. Sinks
      thus receive every lane's copy and can fall back to a backup lane
-     within the same period. *)
+     within the same period. Lane 0 keeps the original flow id. *)
   let flows = ref [] in
   let flow_origin = ref [] in
   let seen_pairs = Hashtbl.create 64 in
@@ -143,10 +145,10 @@ let augment g ~nodes ~degree ~protect_level ~checker_overhead ~guard_wcet
     (fun (f : Graph.flow) ->
       List.iter
         (fun lane ->
-          let p = Hashtbl.find lane_id (f.producer, lane) in
+          let p = lane_id f.producer lane in
           (* Sinks are unreplicated, so every lane's copy converges on
              the one sink task; other consumers stay lane-local. *)
-          let c = Hashtbl.find lane_id (f.consumer, lane) in
+          let c = lane_id f.consumer lane in
           if not (Hashtbl.mem seen_pairs (p, c, f.flow_id)) then begin
             Hashtbl.replace seen_pairs (p, c, f.flow_id) ();
             let flow_id = if lane = 0 then f.flow_id else fresh_flow () in
@@ -156,6 +158,7 @@ let augment g ~nodes ~degree ~protect_level ~checker_overhead ~guard_wcet
         (List.init degree Fun.id))
     (Graph.flows g);
   (* Checkers: one per protected task, fed a digest from every lane. *)
+  let checker = ref [] and digest = ref [] in
   List.iter
     (fun (x : Task.t) ->
       if protect x then begin
@@ -166,11 +169,14 @@ let augment g ~nodes ~degree ~protect_level ~checker_overhead ~guard_wcet
              ~wcet:(Time.add x.wcet checker_overhead) ~criticality:x.criticality
              ())
           (Checker { orig = x.id });
+        checker := (x.id, cid) :: !checker;
         for lane = 0 to degree - 1 do
-          let p = Hashtbl.find lane_id (x.id, lane) in
+          let p = lane_id x.id lane in
+          let flow_id = fresh_flow () in
+          digest := (p, flow_id) :: !digest;
           flows :=
             {
-              Graph.flow_id = fresh_flow ();
+              Graph.flow_id;
               producer = p;
               consumer = cid;
               msg_size = digest_size;
@@ -194,4 +200,13 @@ let augment g ~nodes ~degree ~protect_level ~checker_overhead ~guard_wcet
     Graph.create_relaxed ~period:(Graph.period g) ~tasks:(List.rev !tasks)
       ~flows:(List.rev !flows)
   in
-  { graph; original = g; degree; roles = List.rev !roles; flow_origin = List.rev !flow_origin }
+  let index =
+    {
+      roles = table !next_task !roles;
+      lanes;
+      checker = table originals !checker;
+      digest = table lane_bound !digest;
+      flow_origin = table !next_flow !flow_origin;
+    }
+  in
+  { graph; original = g; degree; index }

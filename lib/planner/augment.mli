@@ -32,47 +32,58 @@ type role =
   | Checker of { orig : Task.id }  (** compares the lanes of [orig] *)
   | Guard of { node : int }  (** per-node evidence-verification reserve *)
 
-type t = {
+type index
+(** Dense per-id tables behind the accessors below, filled once by
+    {!augment}. Lookups by id are O(1). *)
+
+type t = private {
   graph : Graph.t;  (** the augmented dataflow graph *)
   original : Graph.t;
   degree : int;  (** number of lanes *)
-  roles : (Task.id * role) list;
-  flow_origin : (int * (int * int)) list;
-      (** augmented data flow id → (original flow id, lane) *)
+  index : index;
 }
 
 val role_of : t -> Task.id -> role
+(** Raises [Invalid_argument] for an id the augmented graph lacks. *)
+
 val replicas_of : t -> Task.id -> Task.id list
 (** Augmented ids of the lanes of an original task, by lane order;
-    [[orig]] itself for unreplicated tasks. *)
+    [[orig]] itself for unreplicated (or unknown) tasks. *)
 
 val checker_of : t -> Task.id -> Task.id option
 (** The checker watching an original task, if it is protected. *)
 
 val orig_of : t -> Task.id -> Task.id
 (** The original task behind an augmented id (itself for guards'
-    pseudo-originals and unreplicated tasks). *)
+    pseudo-originals and unreplicated tasks). Raises like {!role_of}. *)
 
 val lane_of : t -> Task.id -> int
-(** Lane index (0 for originals, checkers and guards). *)
+(** Lane index (0 for originals, checkers and guards). Raises like
+    {!role_of}. *)
 
 val checkers : t -> Task.id list
+(** In creation order; O(tasks). *)
+
 val guards : t -> (Task.id * int) list
-(** Guard task ids with the node they are pinned to. *)
+(** Guard task ids with the node they are pinned to, in creation order;
+    O(tasks). *)
 
 val digest_flow_ids : t -> int list
 (** Flow ids of the replica→checker digest flows. *)
 
+val digest_flow_of : t -> Task.id -> int option
+(** The digest flow a lane sends to its checker; [None] for tasks that
+    are not lanes of a checked task. *)
+
 val is_protected : t -> Task.id -> bool
 (** Whether the original task was replicated. *)
 
-val primary_sink_flows : t -> int list
-(** Augmented flow ids that deliver primary-lane outputs to sinks —
-    the system outputs whose correctness BTR is judged on. *)
-
 val orig_flow_of : t -> int -> (int * int) option
 (** [(original flow id, lane)] behind an augmented data flow id;
-    [None] for replica→checker digest flows. *)
+    [None] for replica→checker digest flows and unknown ids. Lane 0 of
+    an original flow keeps that flow's id, so [orig_flow_of t id =
+    Some (id, 0)] exactly when the augmentation carries original flow
+    [id]. *)
 
 val augment :
   Graph.t ->

@@ -54,11 +54,6 @@ let config_key c =
     (match c.reassignment with Minimal -> "minimal" | Naive -> "naive")
     shares
 
-(* FNV-1a rather than [Hashtbl.hash]: shard selectors derived from this
-   must agree across processes and OCaml versions, or a resharded cache
-   would silently change its contention profile between CI and hosts. *)
-let config_key_hash c = Fnv.hash (config_key c)
-
 (* The requested R is the one config field planning never reads: it
    gates [admitted] and the verifier's budget checks, but plans,
    schedules and transitions are computed without it. Keying plan reuse
@@ -135,16 +130,43 @@ let mode_fp ~base ~parent_fp ~mode_key =
       mode_key;
     ]
 
+type node_index = int option array (* by task id *)
+
 type plan = {
   faulty : int list;
   aug : Augment.t;
   assignment : (Task.id * int) list;
+  nodes : node_index;
   schedule : Schedule.t;
   shed_below : Task.criticality option;
   lost_tasks : Task.id list;
 }
 
-let assignment_of plan tid = List.assoc_opt tid plan.assignment
+let make_plan ~faulty ~aug ~assignment ~schedule ~shed_below ~lost_tasks =
+  let nodes =
+    Array.make (1 + List.fold_left (fun m (tid, _) -> Stdlib.max m tid) (-1) assignment) None
+  in
+  (* One [Some node] per node, shared by the tasks placed there: plans
+     stay cached for a campaign's lifetime. *)
+  let boxes = Hashtbl.create 16 in
+  let box node =
+    match Hashtbl.find_opt boxes node with
+    | Some b -> b
+    | None ->
+      let b = Some node in
+      Hashtbl.replace boxes node b;
+      b
+  in
+  List.iter
+    (fun (tid, node) ->
+      if tid < 0 then invalid_arg "Planner.make_plan: negative task id";
+      (* First entry wins, as [List.assoc_opt] would read it. *)
+      if nodes.(tid) = None then nodes.(tid) <- box node)
+    assignment;
+  { faulty; aug; assignment; nodes; schedule; shed_below; lost_tasks }
+
+let assignment_of plan tid =
+  if tid < 0 || tid >= Array.length plan.nodes then None else plan.nodes.(tid)
 
 type transition = {
   from_faulty : int list;
@@ -229,12 +251,17 @@ let fault_patterns nodes f =
 (* Greedy placement of the augmented graph onto the alive nodes. *)
 let place_tasks cfg topo aug ~alive ~faulty ~parent =
   let g = aug.Augment.graph in
-  let assignment : (Task.id, int) Hashtbl.t = Hashtbl.create 64 in
+  (* Node per task id, filled in placement order. *)
+  let placed =
+    Array.make
+      (1 + List.fold_left (fun m (x : Task.t) -> Stdlib.max m x.id) (-1) (Graph.tasks g))
+      None
+  in
   let busy : (int, Time.t) Hashtbl.t = Hashtbl.create 16 in
   let busy_of n = Option.value ~default:Time.zero (Hashtbl.find_opt busy n) in
   let lanes_on_node orig n =
     List.exists
-      (fun l -> Hashtbl.find_opt assignment l = Some n)
+      (fun l -> match placed.(l) with Some m -> m = n | None -> false)
       (Augment.replicas_of aug orig)
   in
   let parent_node tid =
@@ -268,7 +295,7 @@ let place_tasks cfg topo aug ~alive ~faulty ~parent =
   let locality_cost tid n =
     List.fold_left
       (fun acc (fl : Graph.flow) ->
-        match Hashtbl.find_opt assignment fl.producer with
+        match placed.(fl.producer) with
         | None -> acc
         | Some pn ->
           if pn = n then acc
@@ -279,7 +306,6 @@ let place_tasks cfg topo aug ~alive ~faulty ~parent =
       0 (Graph.producers_of g tid)
   in
   let cost tid n =
-    let task = Graph.task g tid in
     let sep_penalty =
       match Augment.role_of aug tid with
       | Augment.Replica { orig; _ } ->
@@ -294,14 +320,11 @@ let place_tasks cfg topo aug ~alive ~faulty ~parent =
     match sep_penalty with
     | Some `Forbidden -> None
     | pen ->
-      let base =
-        locality_cost tid n
+      Some
+        (locality_cost tid n
         + (busy_of n / 2)
         + (if parent_node tid = Some n then -50_000 else 0)
-        + (match pen with Some `Heavy -> 500_000 | _ -> 0)
-      in
-      ignore task;
-      Some base
+        + (match pen with Some `Heavy -> 500_000 | _ -> 0))
   in
   let exception Stuck of Task.id in
   try
@@ -325,13 +348,11 @@ let place_tasks cfg topo aug ~alive ~faulty ~parent =
             in
             (match best with Some (n, _) -> n | None -> raise (Stuck tid))
         in
-        Hashtbl.replace assignment tid node;
+        placed.(tid) <- Some node;
         Hashtbl.replace busy node (Time.add (busy_of node) task.Task.wcet))
       (Graph.topo_order g);
-    Ok
-      (List.map
-         (fun (x : Task.t) -> (x.id, Hashtbl.find assignment x.id))
-         (Graph.tasks g))
+    let node tid = Option.get placed.(tid) in
+    Ok (List.map (fun (x : Task.t) -> (x.id, node x.id)) (Graph.tasks g), node)
   with Stuck tid -> Error (Printf.sprintf "no feasible node for task %d" tid)
 
 (* One mode: shed criticality levels from the bottom until schedulable. *)
@@ -360,8 +381,7 @@ let plan_mode cfg workload topo ~faulty ~parent =
     in
     match place_tasks cfg topo aug ~alive ~faulty ~parent with
     | Error reason -> Error reason
-    | Ok assignment ->
-      let place tid = List.assoc tid assignment in
+    | Ok (assignment, place) ->
       let xfer ~src ~dst ~size_bytes =
         if src = dst then Some Time.zero
         else xfer_of cfg topo ~faulty ~cls:Net.Data ~src ~dst ~size_bytes
@@ -369,14 +389,9 @@ let plan_mode cfg workload topo ~faulty ~parent =
       (match Schedule.list_schedule aug.Augment.graph ~place ~xfer with
       | Ok schedule ->
         Ok
-          {
-            faulty;
-            aug;
-            assignment;
-            schedule;
-            shed_below = (if floor = Task.Best_effort then None else Some floor);
-            lost_tasks;
-          }
+          (make_plan ~faulty ~aug ~assignment ~schedule
+             ~shed_below:(if floor = Task.Best_effort then None else Some floor)
+             ~lost_tasks)
       | Error failure ->
         Error (Format.asprintf "%a" Schedule.pp_failure failure))
   in
@@ -423,27 +438,17 @@ let evidence_bound cfg topo ~faulty =
 
 let make_transition ?evb cfg topo ~from_plan ~to_plan ~new_fault =
   let faulty = to_plan.faulty in
-  let assigned p = p.assignment in
-  let from_assign = assigned from_plan and to_assign = assigned to_plan in
   let moved =
     List.filter_map
       (fun (tid, to_node) ->
-        match List.assoc_opt tid from_assign with
+        match assignment_of from_plan tid with
         | Some from_node when from_node <> to_node -> Some (tid, from_node, to_node)
         | _ -> None)
-      to_assign
+      to_plan.assignment
   in
-  let started =
-    List.filter_map
-      (fun (tid, _) ->
-        if List.mem_assoc tid from_assign then None else Some tid)
-      to_assign
-  in
-  let stopped =
-    List.filter_map
-      (fun (tid, _) -> if List.mem_assoc tid to_assign then None else Some tid)
-      from_assign
-  in
+  let unassigned p (tid, _) = if assignment_of p tid = None then Some tid else None in
+  let started = List.filter_map (unassigned from_plan) to_plan.assignment in
+  let stopped = List.filter_map (unassigned to_plan) from_plan.assignment in
   let g = to_plan.aug.Augment.graph in
   let state_of tid =
     match Graph.task g tid with
@@ -598,8 +603,7 @@ let build_with ?previous ?evidence_cache cfg workload topo =
                     !churn
                     + List.length
                         (List.filter
-                           (fun (tid, node) ->
-                             List.assoc_opt tid old.assignment <> Some node)
+                           (fun (tid, node) -> assignment_of old tid <> Some node)
                            plan.assignment)
                 | None -> ());
                 plan

@@ -65,15 +65,16 @@ val config_key : config -> string
     equality of configs or closures. Covers every field, including the
     bandwidth shares. *)
 
-val config_key_hash : config -> int
-(** {!Btr_util.Fnv.hash} of {!config_key}: a stable, non-negative
-    bucket selector for sharded strategy caches. Equal configs hash
-    equal on every host and OCaml version (unlike [Hashtbl.hash]). *)
+type node_index
+(** A plan's [assignment] indexed by task id; read through
+    {!assignment_of}. *)
 
-type plan = {
+type plan = private {
   faulty : int list;  (** this mode's fault pattern, sorted *)
   aug : Augment.t;  (** augmented workload actually running *)
   assignment : (Task.id * int) list;
+      (** (task, node), in the augmented graph's task order *)
+  nodes : node_index;
   schedule : Schedule.t;
   shed_below : Task.criticality option;
       (** tasks strictly below this level were shed; [None] = nothing *)
@@ -81,7 +82,20 @@ type plan = {
       (** original pinned tasks lost with their faulty node *)
 }
 
+val make_plan :
+  faulty:int list ->
+  aug:Augment.t ->
+  assignment:(Task.id * int) list ->
+  schedule:Schedule.t ->
+  shed_below:Task.criticality option ->
+  lost_tasks:Task.id list ->
+  plan
+(** The one plan constructor: indexes [assignment] by task id, so the
+    index always matches the list. A task listed twice keeps its first
+    node. Raises [Invalid_argument] on a negative task id. *)
+
 val assignment_of : plan -> Task.id -> int option
+(** The node a task is assigned to in this plan; O(1). *)
 
 type transition = {
   from_faulty : int list;

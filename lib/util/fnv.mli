@@ -1,12 +1,11 @@
 (** FNV-1a hashing, 64-bit.
 
     The one string hash everything deterministic keys on: campaign
-    artifact fingerprints, the sharded plan cache's shard selector,
-    {!Btr_planner.Planner.config_key_hash}, and the simulated MACs,
-    log chains and payload digests of [Btr_crypto.Auth]. Stable across
-    runs, processes and OCaml versions — unlike [Hashtbl.hash], which is
-    explicitly unspecified — so hashes may appear in persisted artifacts
-    and in CI assertions. *)
+    artifact fingerprints, the sharded plan cache's shard selector, and
+    the simulated MACs, log chains and payload digests of
+    [Btr_crypto.Auth]. Stable across runs, processes and OCaml versions
+    — unlike [Hashtbl.hash], which is explicitly unspecified — so hashes
+    may appear in persisted artifacts and in CI assertions. *)
 
 val offset : int64
 (** The FNV-1a 64-bit offset basis: the state of a fresh hasher. *)

@@ -34,6 +34,11 @@ let distinct xs =
 
 let build ~relaxed ~period ~tasks ~flows =
   if period <= 0 then invalid_arg "Graph.create: period <= 0";
+  (* Ids index dense per-id tables downstream (Augment, Planner). *)
+  if List.exists (fun (t : Task.t) -> t.id < 0) tasks then
+    invalid_arg "Graph.create: negative task id";
+  if List.exists (fun f -> f.flow_id < 0) flows then
+    invalid_arg "Graph.create: negative flow id";
   if not (distinct (List.map (fun (t : Task.t) -> t.id) tasks)) then
     invalid_arg "Graph.create: duplicate task ids";
   if not (distinct (List.map (fun f -> f.flow_id) flows)) then

@@ -19,11 +19,12 @@ type t
 
 val create : period:Time.t -> tasks:Task.t list -> flows:flow list -> t
 (** Validates the paper's workload model and raises [Invalid_argument]
-    otherwise: task and flow ids distinct; flows reference declared
-    tasks; the task graph is acyclic; sources have no incoming flows;
-    sinks have no outgoing flows and at least one incoming; every
-    non-sink task has at least one outgoing flow; sink flows have
-    deadlines no larger than needed to be meaningful (0 < d). *)
+    otherwise: task and flow ids non-negative and distinct; flows
+    reference declared tasks; the task graph is acyclic; sources have no
+    incoming flows; sinks have no outgoing flows and at least one
+    incoming; every non-sink task has at least one outgoing flow; sink
+    flows have deadlines no larger than needed to be meaningful
+    (0 < d). *)
 
 val create_relaxed : period:Time.t -> tasks:Task.t list -> flows:flow list -> t
 (** Like {!create} but permits tasks with no outputs and sinks with no

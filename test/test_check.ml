@@ -46,6 +46,16 @@ let fires ?strikes code corrupt () =
       (Check.passed report)
   | Check.Warning -> ()
 
+(* [p] with some fields substituted, through the plan constructor so
+   the plan's node index follows a substituted assignment. *)
+let substitute ?faulty ?aug ?assignment ?schedule (p : Planner.plan) =
+  Planner.make_plan
+    ~faulty:(Option.value faulty ~default:p.faulty)
+    ~aug:(Option.value aug ~default:p.aug)
+    ~assignment:(Option.value assignment ~default:p.assignment)
+    ~schedule:(Option.value schedule ~default:p.schedule)
+    ~shed_below:p.shed_below ~lost_tasks:p.lost_tasks
+
 let with_shares v s =
   { v with Check.config = { v.Check.config with Planner.shares = Some s } }
 
@@ -84,10 +94,8 @@ let e201 =
           List.map
             (fun (p : Planner.plan) ->
               if p.faulty = [] then
-                {
-                  p with
-                  assignment = List.map (fun (t, _) -> (t, 0)) p.assignment;
-                }
+                substitute p
+                  ~assignment:(List.map (fun (t, _) -> (t, 0)) p.assignment)
               else p)
             v.Check.plans;
       })
@@ -127,7 +135,7 @@ let w202 =
           List.map
             (fun (p : Planner.plan) ->
               if p.faulty = [] then
-                { p with aug; assignment = [ (0, 0); (1, 0); (2, 0) ] }
+                substitute p ~aug ~assignment:[ (0, 0); (1, 0); (2, 0) ]
               else p)
             v.Check.plans;
       })
@@ -143,7 +151,7 @@ let e203 =
         Check.plans =
           List.map
             (fun (p : Planner.plan) ->
-              if p.faulty = [] then { p with schedule = donor.schedule } else p)
+              if p.faulty = [] then substitute p ~schedule:donor.schedule else p)
             v.Check.plans;
       })
 
@@ -231,7 +239,7 @@ let e402 =
       let donor =
         List.find (fun (p : Planner.plan) -> p.faulty = [ 4 ]) v.Check.plans
       in
-      { v with Check.plans = v.Check.plans @ [ { donor with faulty = [ 4; 5 ] } ] })
+      { v with Check.plans = v.Check.plans @ [ substitute donor ~faulty:[ 4; 5 ] ] })
 
 (* BTR-E403: the clique's plans judged against a star — when the hub is
    the faulty node, the survivors have no route left. *)

@@ -310,6 +310,73 @@ let prop_random_workloads_plan_and_validate =
             = Ok ())
           (Planner.all_plans s))
 
+(* The dense per-id indexes behind Augment's accessors and
+   Planner.assignment_of, held to the list-scan reference in
+   ref_augment.ml on every mode's plan: every id the augmentation knows,
+   plus a margin of unknown ids on both sides (which must still raise
+   or answer None exactly as the reference does). *)
+let prop_indexes_match_reference =
+  QCheck.Test.make ~name:"augment and plan indexes agree with the list-scan reference"
+    ~count:30
+    QCheck.(pair (int_range 0 5000) (int_range 1 3))
+    (fun (seed, degree) ->
+      let g =
+        Generators.random_layered ~rng:(Rng.create seed) ~n_nodes:5 ~layers:2 ~width:3
+          ~utilization_target:0.8 ()
+      in
+      let topo =
+        Topology.fully_connected ~n:5 ~bandwidth_bps:20_000_000 ~latency:(Time.us 20)
+      in
+      match build ~f:1 ~r:(Time.sec 1) ~tune:(fun c -> { c with Planner.degree }) g topo with
+      | Error _ -> QCheck.assume_fail ()
+      | Ok s ->
+        let protect_level = (Planner.config s).Planner.protect_level in
+        List.for_all
+          (fun (p : Planner.plan) ->
+            let aug = p.aug in
+            let alive =
+              List.filter (fun n -> not (List.mem n p.faulty)) (Topology.nodes topo)
+            in
+            let r = Ref_augment.augment aug.original ~nodes:alive ~degree ~protect_level in
+            let mode = String.concat "," (List.map string_of_int p.faulty) in
+            let probe hi = List.init (hi + 7) (fun i -> i - 3) in
+            let caught f x = match f x with v -> Ok v | exception Invalid_argument m -> Error m in
+            let agree name indexed reference ids =
+              List.for_all
+                (fun id ->
+                  indexed id = reference id
+                  || QCheck.Test.fail_reportf "%s disagrees at id %d in mode {%s}" name id mode)
+                ids
+            in
+            let same name a b =
+              a = b || QCheck.Test.fail_reportf "%s disagrees in mode {%s}" name mode
+            in
+            let tasks = probe (Ref_augment.max_task_id r) in
+            let flows = probe (Ref_augment.max_flow_id r) in
+            let endpoints fl =
+              List.map (fun (f : Graph.flow) -> (f.flow_id, f.producer, f.consumer)) fl
+            in
+            same "task ids"
+              (List.map (fun (x : Task.t) -> x.id) (Graph.tasks aug.graph))
+              (List.map fst r.Ref_augment.roles)
+            && same "flow endpoints" (endpoints (Graph.flows aug.graph))
+                 (endpoints r.Ref_augment.flows)
+            && agree "role_of" (caught (Augment.role_of aug)) (caught (Ref_augment.role_of r)) tasks
+            && agree "orig_of" (caught (Augment.orig_of aug)) (caught (Ref_augment.orig_of r)) tasks
+            && agree "lane_of" (caught (Augment.lane_of aug)) (caught (Ref_augment.lane_of r)) tasks
+            && agree "replicas_of" (Augment.replicas_of aug) (Ref_augment.replicas_of r) tasks
+            && agree "checker_of" (Augment.checker_of aug) (Ref_augment.checker_of r) tasks
+            && agree "is_protected" (Augment.is_protected aug) (Ref_augment.is_protected r) tasks
+            && agree "digest_flow_of" (Augment.digest_flow_of aug) (Ref_augment.digest_flow_of r)
+                 tasks
+            && agree "orig_flow_of" (Augment.orig_flow_of aug) (Ref_augment.orig_flow_of r) flows
+            && same "checkers" (Augment.checkers aug) (Ref_augment.checkers r)
+            && same "guards" (Augment.guards aug) (Ref_augment.guards r)
+            && same "digest_flow_ids" (Augment.digest_flow_ids aug)
+                 (Ref_augment.digest_flow_ids r)
+            && agree "assignment_of" (Planner.assignment_of p) (Ref_augment.assignment_of p) tasks)
+          (Planner.all_plans s))
+
 (* config_key: the serialization campaigns key their plan cache on *)
 
 let test_config_key_total () =
@@ -437,4 +504,5 @@ let suite =
     ("config_key is total and injective on fields", `Quick, test_config_key_total);
     ("scenario resolved_config applies tune", `Quick, test_resolved_config_applies_tune);
     QCheck_alcotest.to_alcotest prop_random_workloads_plan_and_validate;
+    QCheck_alcotest.to_alcotest prop_indexes_match_reference;
   ]

@@ -41,6 +41,33 @@ let test_fault_free () =
   Alcotest.(check (float 1e-9)) "no deadline misses" 0.0 (Btr.Metrics.deadline_miss_fraction m);
   check_int "no mode changes" 0 (List.length (Btr.Runtime.mode_changes rt))
 
+(* A behaviour that depends on the order of its inputs. Lanes, their
+   checker's replay and the golden executor must all present inputs
+   lowest original flow first, or correct lanes compute a different
+   value than the reference and are accused of it. *)
+let test_order_sensitive_behaviour () =
+  let sum (i : Btr.Behavior.input) = Array.fold_left ( +. ) 0.0 i.value in
+  (* Task 2 is the state estimator, fed by the pitot and IMU sensors. *)
+  let a_minus_2b ~period:_ ~inputs =
+    match inputs with [ a; b ] -> Some [| sum a -. (2.0 *. sum b) |] | _ -> None
+  in
+  let rt =
+    run_ok
+      (Btr.Scenario.spec
+         ~workload:(Btr_workload.Generators.avionics ~n_nodes:6)
+         ~topology:
+           (Topology.fully_connected ~n:6 ~bandwidth_bps:10_000_000
+              ~latency:(Time.us 50))
+         ~f:1 ~recovery_bound ~horizon:(Time.sec 1)
+         ~behaviors:[ (2, a_minus_2b) ]
+         ())
+  in
+  Alcotest.(check (float 1e-9))
+    "all outputs correct" 1.0
+    (Btr.Metrics.correct_fraction (Btr.Runtime.metrics rt));
+  check_int "no mode changes" 0 (List.length (Btr.Runtime.mode_changes rt));
+  check_int "no evidence" 0 (List.length (Btr.Runtime.evidence_seen rt 0))
+
 (* One test per behaviour class: the fault is detected, all correct
    nodes converge on a mode excluding the faulty node, and protected
    outputs recover within R. *)
@@ -371,6 +398,8 @@ let prop_recovery_within_r_random_faults =
 let suite =
   [
     ("fault-free run is perfect", `Quick, test_fault_free);
+    ("order-sensitive behaviour: lanes match golden and replay", `Quick,
+      test_order_sensitive_behaviour);
     behaviour_case "crash" Fault.Crash ~expect_mode_change:true;
     behaviour_case "omission" Fault.Omit_outputs ~expect_mode_change:true;
     behaviour_case "corruption" Fault.Corrupt_outputs ~expect_mode_change:true;

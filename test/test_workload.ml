@@ -76,6 +76,20 @@ let test_cycle_rejected () =
         (Graph.create ~period:(Time.ms 1) ~tasks:[ a; b ]
            ~flows:[ mk_flow 0 0 1 8; mk_flow 1 1 0 8 ]))
 
+let test_negative_ids_rejected () =
+  let a = Task.make ~id:0 ~name:"a" ~wcet:1 () in
+  let neg = Task.make ~id:(-1) ~name:"n" ~wcet:1 () in
+  Alcotest.check_raises "negative task id"
+    (Invalid_argument "Graph.create: negative task id") (fun () ->
+      ignore
+        (Graph.create_relaxed ~period:(Time.ms 1) ~tasks:[ a; neg ] ~flows:[]));
+  let b = Task.make ~id:1 ~name:"b" ~wcet:1 () in
+  Alcotest.check_raises "negative flow id"
+    (Invalid_argument "Graph.create: negative flow id") (fun () ->
+      ignore
+        (Graph.create ~period:(Time.ms 1) ~tasks:[ a; b ]
+           ~flows:[ mk_flow (-1) 0 1 8 ]))
+
 let test_sink_with_output_rejected () =
   let s = Task.make ~id:0 ~name:"s" ~kind:Task.Sink ~wcet:1 ~pinned:0 () in
   let c = Task.make ~id:1 ~name:"c" ~wcet:1 () in
@@ -184,6 +198,7 @@ let prop_random_layered_deterministic =
 let suite =
   [
     ("task validation", `Quick, test_task_validation);
+    ("negative ids rejected", `Quick, test_negative_ids_rejected);
     ("criticality ordering", `Quick, test_criticality_order);
     ("placeability", `Quick, test_is_placeable);
     ("graph accessors", `Quick, test_graph_accessors);
